@@ -67,7 +67,6 @@ BitmapRep ChooseBitmapRep(uint64_t ones, uint64_t size);
 /// Process-wide codec observability (cods_shell `.stats`). Relaxed
 /// atomics: counts are advisory, never synchronization.
 struct CodecStats {
-  std::atomic<uint64_t> popcount_hits{0};  // O(1) CountOnes served
   std::atomic<uint64_t> array_built{0};
   std::atomic<uint64_t> wah_built{0};
   std::atomic<uint64_t> bitset_built{0};
@@ -114,10 +113,7 @@ class ValueBitmap {
   bool empty() const { return size_ == 0; }
 
   /// O(1): cached at construction for every representation.
-  uint64_t CountOnes() const {
-    GlobalCodecStats().popcount_hits.fetch_add(1, std::memory_order_relaxed);
-    return ones_;
-  }
+  uint64_t CountOnes() const { return ones_; }
   bool IsAllZeros() const { return ones_ == 0; }
   bool IsAllOnes() const { return ones_ == size_; }
 

@@ -1,5 +1,8 @@
 #include "query/expr.h"
 
+#include <algorithm>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "bitmap/codec.h"
@@ -235,32 +238,74 @@ void CollectLeaves(const Expr& node, std::vector<const Expr*>* leaves) {
   }
 }
 
-// One leaf to its selection bitmap: a dictionary scan collecting the
-// qualifying value bitmaps into a single-pass k-way union, then an
-// optional complement for a residual NOT.
-Result<WahBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
+// The rows holding one of `vids`, or with `complement` every other row
+// (exact: a column's value bitmaps partition its rows).
+struct LeafVids {
+  std::vector<Vid> vids;  // ascending, distinct
+  bool complement = false;
+};
+
+// The one leaf resolver. A point leaf (=, !=, IN, NOT IN) probes the
+// hash index once per literal, != and NOT IN as the complement of the
+// probe. Other leaves, and literals whose probe could disagree with
+// EvalCompare's order, scan the dictionary.
+LeafVids MatchingVids(const Column& column, const Expr& leaf) {
+  LeafVids out;
   const Expr* inner = &leaf;
-  bool negate = false;
   if (leaf.kind == ExprKind::kNot) {
-    negate = true;
+    out.complement = true;
     inner = leaf.children[0].get();
   }
-  // References bind loosely: exact name, unique qualified suffix, or
-  // `<table>.<col>` of the probed table (cross-table WHERE clauses).
-  CODS_ASSIGN_OR_RETURN(auto col, table.ColumnByRef(inner->column));
+  const Dictionary& dict = column.dict();
+  const bool compare = inner->kind == ExprKind::kCompare;
+  const bool ne = compare && inner->op == CompareOp::kNe;
+  std::span<const Value> literals;
+  if (inner->kind == ExprKind::kIn) literals = inner->in_values;
+  if (ne || (compare && inner->op == CompareOp::kEq)) {
+    literals = {&inner->literal, 1};
+  }
+  if (!literals.empty() &&
+      std::all_of(literals.begin(), literals.end(), [&](const Value& v) {
+        return dict.LookupIsOrderExact(v);
+      })) {
+    for (const Value& v : literals) {
+      if (std::optional<Vid> vid = dict.Lookup(v)) out.vids.push_back(*vid);
+    }
+    std::ranges::sort(out.vids);
+    out.vids.erase(std::ranges::unique(out.vids).begin(), out.vids.end());
+    out.complement ^= ne;
+    return out;
+  }
+  for (Vid vid = 0; vid < dict.size(); ++vid) {
+    if (inner->LeafMatches(dict.value(vid))) out.vids.push_back(vid);
+  }
+  return out;
+}
+
+// The column a leaf (or a kNot over one) reads. References bind
+// loosely: exact name, unique qualified suffix, or `<table>.<col>` of
+// the probed table (cross-table WHERE clauses).
+Result<std::shared_ptr<const Column>> LeafColumn(const Table& table,
+                                                 const Expr& leaf) {
+  const Expr& inner = leaf.kind == ExprKind::kNot ? *leaf.children[0] : leaf;
+  CODS_ASSIGN_OR_RETURN(auto col, table.ColumnByRef(inner.column));
   if (col->encoding() != ColumnEncoding::kWahBitmap) {
     return Status::InvalidArgument(
         "predicates require a WAH-encoded column; re-encode '" +
-        inner->column + "' first");
+        inner.column + "' first");
   }
-  std::vector<const ValueBitmap*> qualifying;
-  for (Vid vid = 0; vid < col->distinct_count(); ++vid) {
-    if (inner->LeafMatches(col->dict().value(vid))) {
-      qualifying.push_back(&col->bitmap(vid));
-    }
-  }
-  WahBitmap bm = CodecOrManyWah(qualifying, table.rows());
-  if (negate) return WahNot(bm);
+  return col;
+}
+
+// One leaf to its selection bitmap: a single-pass k-way union of the
+// matching value bitmaps, complemented when the leaf selects the rest.
+Result<WahBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
+  CODS_ASSIGN_OR_RETURN(auto col, LeafColumn(table, leaf));
+  LeafVids match = MatchingVids(*col, leaf);
+  std::vector<const ValueBitmap*> bitmaps;
+  for (Vid vid : match.vids) bitmaps.push_back(&col->bitmap(vid));
+  WahBitmap bm = CodecOrManyWah(bitmaps, table.rows());
+  if (match.complement) return WahNot(bm);
   return bm;
 }
 
@@ -325,6 +370,13 @@ WahBitmap Combine(const Expr& node, uint64_t rows,
 
 }  // namespace
 
+uint64_t CountLeafRows(const Column& column, const Expr& leaf) {
+  LeafVids match = MatchingVids(column, leaf);
+  uint64_t rows = 0;
+  for (Vid vid : match.vids) rows += column.ValueCount(vid);
+  return match.complement ? column.rows() - rows : rows;
+}
+
 ExprPtr NormalizeExpr(const ExprPtr& expr) {
   CODS_CHECK(expr != nullptr) << "NormalizeExpr on null expression";
   return Normalize(expr, false);
@@ -345,6 +397,10 @@ Result<WahBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
 Result<uint64_t> EvalExprCount(const Table& table, const ExprPtr& expr,
                                const ExecContext* ctx) {
   ExprPtr root = NormalizeExpr(expr);
+  if (root->kind != ExprKind::kAnd && root->kind != ExprKind::kOr) {
+    CODS_ASSIGN_OR_RETURN(auto col, LeafColumn(table, *root));
+    return CountLeafRows(*col, *root);
+  }
   std::vector<const Expr*> leaves;
   CollectLeaves(*root, &leaves);
   CODS_ASSIGN_OR_RETURN(
@@ -353,25 +409,18 @@ Result<uint64_t> EvalExprCount(const Table& table, const ExprPtr& expr,
   size_t cursor = 0;
   // The root node's bitmap is never materialized: its children combine
   // normally, then the count-only kernel folds them.
-  switch (root->kind) {
-    case ExprKind::kAnd:
-    case ExprKind::kOr: {
-      std::vector<WahBitmap> kids;
-      kids.reserve(root->children.size());
-      for (const ExprPtr& child : root->children) {
-        kids.push_back(Combine(*child, table.rows(), slots, cursor));
-      }
-      if (root->kind == ExprKind::kAnd) {
-        for (const WahBitmap& k : kids) {
-          if (k.IsAllZeros()) return 0;
-        }
-        return WahAndManyCount(kids, table.rows());
-      }
-      return WahOrManyCount(kids, table.rows());
-    }
-    default:
-      return Combine(*root, table.rows(), slots, cursor).CountOnes();
+  std::vector<WahBitmap> kids;
+  kids.reserve(root->children.size());
+  for (const ExprPtr& child : root->children) {
+    kids.push_back(Combine(*child, table.rows(), slots, cursor));
   }
+  if (root->kind == ExprKind::kAnd) {
+    for (const WahBitmap& k : kids) {
+      if (k.IsAllZeros()) return 0;
+    }
+    return WahAndManyCount(kids, table.rows());
+  }
+  return WahOrManyCount(kids, table.rows());
 }
 
 }  // namespace cods

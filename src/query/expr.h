@@ -8,11 +8,11 @@
 //      only surviving NOTs sit directly over IN/BETWEEN leaves. Same-kind
 //      AND/AND and OR/OR children are flattened into one node, exposing
 //      the maximal fan-in to the single-pass k-way kernels.
-//   2. Leaf evaluation: every leaf is one dictionary scan plus a k-way
-//      WahOrMany union of the qualifying value bitmaps. Leaves evaluate
-//      in parallel on the ExecContext (one task per leaf, pre-sized
-//      slots, first error in leaf order), so results and errors are
-//      bit-identical at every thread count.
+//   2. Leaf evaluation: a hash probe per literal (=, !=, IN, NOT IN) or
+//      a dictionary scan (ranges) plus a k-way WahOrMany union of the
+//      matching value bitmaps. Leaves evaluate in parallel on the
+//      ExecContext (one task per leaf, pre-sized slots, first error in
+//      leaf order), so results are bit-identical at every thread count.
 //   3. Combine: AND/OR nodes feed their children to WahAndMany/WahOrMany
 //      (one pass, no pairwise intermediates); a residual NOT is a WahNot
 //      complement on top of its leaf. The complement is exact because
@@ -90,16 +90,24 @@ bool ExprEquals(const Expr& a, const Expr& b);
 /// at evaluation (bind) time.
 ExprPtr NormalizeExpr(const ExprPtr& expr);
 
+/// Rows `leaf` (a kCompare/kIn/kBetween leaf or a kNot over one)
+/// selects on `column`, from the cached per-value counts. Shares
+/// EvalExpr's leaf resolver: O(#literals) hash probes for =, !=, IN and
+/// NOT IN; a dictionary scan for ranges and for literals
+/// Dictionary::LookupIsOrderExact rejects.
+uint64_t CountLeafRows(const Column& column, const Expr& leaf);
+
 /// Evaluates `expr` to a selection bitmap of length table.rows().
-/// Normalizes, evaluates every leaf in parallel on `ctx`, and combines
-/// with the k-way kernels. Unknown columns and non-WAH-encoded columns
-/// error; the first error in leaf order wins at every thread count.
+/// Normalizes, resolves every leaf in parallel on `ctx` into a k-way
+/// union of its value bitmaps, and combines with the k-way kernels.
+/// Unknown columns and non-WAH-encoded columns error; the first error
+/// in leaf order wins at every thread count.
 Result<WahBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
                            const ExecContext* ctx = nullptr);
 
-/// Number of selected rows, using the count-only k-way kernels at the
-/// root (the selection bitmap of the root node is never materialized
-/// when the root is AND/OR after normalization).
+/// Number of selected rows. A leaf root is CountLeafRows (no bitmap
+/// work); an AND/OR root folds its children with the count-only k-way
+/// kernels, so the root's selection bitmap is never materialized.
 Result<uint64_t> EvalExprCount(const Table& table, const ExprPtr& expr,
                                const ExecContext* ctx = nullptr);
 

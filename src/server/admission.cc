@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "exec/thread_pool.h"
+#include "query/expr.h"
 #include "storage/table.h"
 
 namespace cods::server {
@@ -22,15 +23,7 @@ uint64_t EstimateExprRows(const Table& table, const ExprPtr& where) {
       Result<std::shared_ptr<const Column>> col =
           table.ColumnByRef(where->column);
       if (!col.ok()) return rows;  // unknown ref: no estimate
-      const Column& column = *col.ValueOrDie();
-      const Dictionary& dict = column.dict();
-      uint64_t est = 0;
-      for (size_t vid = 0; vid < dict.size(); ++vid) {
-        if (where->LeafMatches(dict.value(static_cast<Vid>(vid)))) {
-          est += column.ValueCount(static_cast<Vid>(vid));
-        }
-      }
-      return est;
+      return CountLeafRows(*col.ValueOrDie(), *where);
     }
     case ExprKind::kNot: {
       uint64_t child = EstimateExprRows(table, where->children[0]);

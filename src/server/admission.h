@@ -5,10 +5,10 @@
 // Statements are classified into the POINT lane (cheap: point lookups
 // and low-cardinality predicates) or the HEAVY lane (analytic: SMOs,
 // joins, GROUP BY, ORDER BY, full-table SELECTs, high-cardinality
-// predicates). Classification is free: the per-value popcount
-// histograms the columns already maintain (Column::ValueCount is O(1))
-// give an upper-bound cardinality estimate for any WHERE tree with one
-// dictionary scan per leaf and no bitmap work.
+// predicates). Classification does no bitmap work: the cached
+// per-value popcounts give an upper-bound row estimate for any WHERE
+// tree, exact per leaf, at one hash probe per literal for =, !=, IN and
+// NOT IN and one dictionary scan for a range leaf (CountLeafRows).
 //
 // Each lane has its own bounded queue and its own worker-slot budget,
 // so a flood of heavy statements can saturate only the heavy slots —
@@ -45,10 +45,9 @@ inline constexpr int kNumLanes = 2;
 const char* LaneToString(Lane lane);
 
 /// Upper-bound row estimate for `where` over `table` from the cached
-/// per-value popcounts: leaves sum the ValueCount of qualifying
-/// dictionary values, AND takes the child minimum, OR the clamped sum,
-/// NOT the complement. Null `where` and unknown columns estimate the
-/// full table.
+/// per-value popcounts: a leaf counts its rows exactly (CountLeafRows),
+/// AND takes the child minimum, OR the clamped sum, NOT the complement.
+/// Null `where` and unknown columns estimate the full table.
 uint64_t EstimateExprRows(const Table& table, const ExprPtr& where);
 
 /// Classifies a statement. SMOs, joins, GROUP BY, ORDER BY, and

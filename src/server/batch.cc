@@ -131,11 +131,23 @@ std::vector<BatchOutcome> ExecuteQueryBatch(
       continue;
     }
     const Table& table = *table_r.ValueOrDie();
-    Result<WahBitmap> bitmap_r = EvalExpr(table, first.where, &exec);
-    if (!bitmap_r.ok()) {
+    // A COUNT-only group never builds the selection bitmap.
+    const bool count_only =
+        std::all_of(members.begin(), members.end(), [&](size_t i) {
+          return requests[i]->verb == QueryRequest::Verb::kCount;
+        });
+    Result<WahBitmap> bitmap_r = WahBitmap();
+    Result<uint64_t> count_r = uint64_t{0};
+    if (count_only) {
+      count_r = EvalExprCount(table, first.where, &exec);
+    } else {
+      bitmap_r = EvalExpr(table, first.where, &exec);
+    }
+    Status eval = count_only ? count_r.status() : bitmap_r.status();
+    if (!eval.ok()) {
       for (size_t i : members) {
         BatchOutcome out;
-        out.status = bitmap_r.status();
+        out.status = eval;
         outcomes[i] = std::move(out);
       }
       continue;
@@ -159,7 +171,7 @@ std::vector<BatchOutcome> ExecuteQueryBatch(
       first_member = false;
       if (q.verb == QueryRequest::Verb::kCount) {
         out.result.verb = QueryRequest::Verb::kCount;
-        out.result.count = selection.CountOnes();
+        out.result.count = count_only ? *count_r : selection.CountOnes();
         outcomes[i] = std::move(out);
         continue;
       }

@@ -3,8 +3,10 @@
 //
 // Within one admission batch, statements group by (table, normalized
 // WHERE). A group with more than one statement evaluates its predicate
-// bitmap ONCE (query/expr.h EvalExpr on the compressed WAH kernels) and
-// answers every member off it: COUNT members read the bitmap's O(1)
+// ONCE. A group of COUNTs only takes EvalExprCount, which never builds
+// the selection bitmap. Any other group evaluates the bitmap
+// (query/expr.h EvalExpr on the compressed WAH kernels) and answers
+// every member off it: COUNT members read the bitmap's O(1)
 // popcount, SELECT members build their projections through one shared
 // WahPositionFilter (the same position-filter machinery SELECT always
 // uses — the eval is shared, the projection build is per distinct

@@ -29,8 +29,15 @@ class Dictionary {
   /// Returns the vid of `value`, inserting it if new.
   Vid GetOrInsert(const Value& value);
 
-  /// Returns the vid of `value` if present.
+  /// Returns the vid of `value` if present (variant equality).
   std::optional<Vid> Lookup(const Value& value) const;
+
+  /// True when Lookup(literal) finds exactly the values EvalCompare
+  /// calls equal to `literal`. It does not for an int64 literal on a
+  /// dictionary holding doubles (3 order-equals 3.0), a double literal
+  /// on one holding int64s, or a NaN literal on one holding a NaN (NaN
+  /// order-equals NaN but is never variant-equal). O(1).
+  bool LookupIsOrderExact(const Value& literal) const;
 
   /// The value for a vid. `vid` must be < size().
   const Value& value(Vid vid) const { return values_[vid]; }
@@ -48,6 +55,9 @@ class Dictionary {
  private:
   std::vector<Value> values_;
   std::unordered_map<Value, Vid, ValueHash> index_;
+  bool has_int64_ = false;
+  bool has_double_ = false;
+  bool has_nan_ = false;
 };
 
 }  // namespace cods

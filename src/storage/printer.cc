@@ -80,9 +80,7 @@ std::string FormatTableStats(const Table& table) {
         << ", bitset-equivalent bytes=" << dense_bytes << "\n";
   }
   const CodecStats& stats = GlobalCodecStats();
-  out << "codec: popcount cache hits="
-      << stats.popcount_hits.load(std::memory_order_relaxed)
-      << ", containers built: array="
+  out << "codec: containers built: array="
       << stats.array_built.load(std::memory_order_relaxed)
       << " wah=" << stats.wah_built.load(std::memory_order_relaxed)
       << " bitset=" << stats.bitset_built.load(std::memory_order_relaxed)

@@ -315,15 +315,27 @@ TEST(CodecSerde, V3TruncationsAreDetected) {
   }
 }
 
-TEST(CodecStatsTest, PopcountHitsAccumulate) {
-  uint64_t before =
-      GlobalCodecStats().popcount_hits.load(std::memory_order_relaxed);
-  ValueBitmap vb = MakeRandom(kSweepSize, 30, 1);
-  (void)vb.CountOnes();
-  (void)vb.CountOnes();
-  uint64_t after =
-      GlobalCodecStats().popcount_hits.load(std::memory_order_relaxed);
-  EXPECT_GE(after - before, 2u);
+// CountOnes is the popcount cached at construction: it must equal the
+// decoded set-bit count in every representation, whichever constructor
+// built the container.
+TEST(CodecCountOnes, EqualsDecodedPopcountPerRepresentation) {
+  for (const DensityClass& c : kClasses) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      ValueBitmap vb = MakeRandom(kSweepSize, c.ones, seed * 7 + c.ones);
+      ASSERT_EQ(vb.rep(), c.rep) << vb.ToString();
+      const uint64_t decoded = vb.SetPositions().size();
+      EXPECT_EQ(vb.CountOnes(), decoded) << vb.ToString();
+      EXPECT_EQ(ValueBitmap::FromWah(vb.ToWah()).CountOnes(), decoded);
+      EXPECT_EQ(vb.ToWah().CountOnes(), decoded);
+      std::vector<uint64_t> words((kSweepSize + 63) / 64, 0);
+      for (uint64_t p : vb.SetPositions()) {
+        words[p / 64] |= uint64_t{1} << (p % 64);
+      }
+      EXPECT_EQ(ValueBitmap::FromDenseWords(std::move(words), kSweepSize)
+                    .CountOnes(),
+                decoded);
+    }
+  }
 }
 
 }  // namespace

@@ -6,10 +6,15 @@
 #include "query/expr.h"
 #include "storage/value_compare.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "bitmap/wah_ops.h"
+#include "common/random.h"
 #include "gtest/gtest.h"
+#include "server/admission.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -261,6 +266,206 @@ TEST(Expr, PropertySweepOnGeneratedTable) {
                              Value(pivot)}))});
     ExpectAgreesWithNaive(*r, e);
   }
+}
+
+// Values on which a hash probe and EvalCompare's order-equivalence
+// could part ways: NaN, signed zeros, int64 extremes, 2^53 +- 1 as
+// int64 and as double (2^53 + 1 is not a double), NULL, empty strings
+// and quotes.
+std::vector<Value> HostileValues() {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {Value(nan),
+          Value(-nan),
+          Value(0.0),
+          Value(-0.0),
+          Value(1.5),
+          Value(static_cast<double>(k53 - 1)),
+          Value(static_cast<double>(k53)),
+          Value(static_cast<double>(k53 + 1)),
+          Value(3.0),
+          Value(std::ldexp(1.0, 63)),  // INT64_MAX as a double
+          Value(std::numeric_limits<int64_t>::min()),
+          Value(std::numeric_limits<int64_t>::max()),
+          Value(int64_t{0}),
+          Value(int64_t{3}),
+          Value(k53 - 1),
+          Value(k53),
+          Value(k53 + 1),
+          Value(),
+          Value(""),
+          Value("'"),
+          Value("it''s"),
+          Value("x")};
+}
+
+// One column whose dictionary holds `values` (every NaN its own entry,
+// so repeated NaNs leave duplicate entries) over `rows` rows with
+// seeded random value ids.
+std::shared_ptr<const Column> HostileColumn(DataType type,
+                                            const std::vector<Value>& values,
+                                            uint64_t rows, Rng& rng) {
+  Dictionary dict;
+  for (const Value& v : values) dict.GetOrInsert(v);
+  std::vector<Vid> vids(rows);
+  for (Vid& vid : vids) {
+    vid = static_cast<Vid>(rng.Uniform(0, dict.size() - 1));
+  }
+  return Column::FromVids(type, std::move(dict), vids);
+}
+
+// A random =, !=, IN (with repeats) or NOT IN leaf over `column`.
+ExprPtr RandomPointLeaf(const std::string& column,
+                        const std::vector<Value>& pool, Rng& rng) {
+  auto pick = [&] { return pool[rng.Uniform(0, pool.size() - 1)]; };
+  switch (rng.Uniform(0, 3)) {
+    case 0:
+      return Expr::Compare(column, CompareOp::kEq, pick());
+    case 1:
+      return Expr::Compare(column, CompareOp::kNe, pick());
+    default: {
+      std::vector<Value> in;
+      for (int64_t n = rng.Uniform(1, 4); n > 0; --n) {
+        in.push_back(pick());
+        if (rng.NextBool(0.3)) in.push_back(in.back());
+      }
+      ExprPtr leaf = Expr::In(column, std::move(in));
+      return rng.NextBool() ? Expr::Not(leaf) : leaf;
+    }
+  }
+}
+
+// Differential check of the point-leaf resolver: on hostile dictionaries
+// EvalExpr, EvalExprCount and the admission estimate must equal a
+// row-by-row LeafMatches oracle at every thread count, whether the leaf
+// took the hash probe or the dictionary-scan fallback.
+TEST(Expr, PointLeavesMatchRowOracleOnHostileDictionaries) {
+  const std::vector<Value> pool = HostileValues();
+  std::vector<Value> ints, doubles, strings;
+  for (const Value& v : pool) {  // NULL may appear in every column
+    if (v.is_int64() || v.is_null()) ints.push_back(v);
+    if (v.is_double() || v.is_null()) doubles.push_back(v);
+    if (v.is_string() || v.is_null()) strings.push_back(v);
+  }
+  Rng rng(20260412);
+  uint64_t probed = 0, scanned = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const uint64_t rows = static_cast<uint64_t>(rng.Uniform(1, 300));
+    // Each column draws a random subset of its kinds' values, in random
+    // order; M mixes int64 and double entries in one dictionary.
+    auto sample = [&](const std::vector<Value>& from) {
+      std::vector<Value> out;
+      for (uint64_t i : rng.Permutation(from.size())) {
+        if (rng.NextBool(0.6)) out.push_back(from[i]);
+      }
+      if (out.empty()) out.push_back(from[0]);
+      return out;
+    };
+    std::vector<Value> mixed = sample(ints);
+    for (const Value& v : sample(doubles)) mixed.push_back(v);
+    std::vector<std::pair<ColumnSpec, std::vector<Value>>> specs = {
+        {{"I", DataType::kInt64, false}, sample(ints)},
+        {{"D", DataType::kDouble, false}, sample(doubles)},
+        {{"M", DataType::kDouble, false}, mixed},
+        {{"S", DataType::kString, false}, sample(strings)}};
+    std::vector<ColumnSpec> columns;
+    std::vector<std::shared_ptr<const Column>> data;
+    for (const auto& [spec, values] : specs) {
+      columns.push_back(spec);
+      data.push_back(HostileColumn(spec.type, values, rows, rng));
+    }
+    auto table = Table::Make("H", Schema(columns), data, rows).ValueOrDie();
+
+    for (int q = 0; q < 12; ++q) {
+      const size_t c = static_cast<size_t>(rng.Uniform(0, 3));
+      const Column& column = *data[c];
+      ExprPtr leaf = RandomPointLeaf(columns[c].name, pool, rng);
+      const Expr& inner = leaf->kind == ExprKind::kNot ? *leaf->children[0]
+                                                       : *leaf;
+      std::vector<Value> literals = inner.in_values;
+      if (inner.kind == ExprKind::kCompare) literals = {inner.literal};
+      bool probes = true;
+      for (const Value& v : literals) {
+        probes = probes && column.dict().LookupIsOrderExact(v);
+      }
+      ++(probes ? probed : scanned);
+
+      std::vector<uint64_t> oracle;
+      for (uint64_t r = 0; r < rows; ++r) {
+        bool match = inner.LeafMatches(column.GetValue(r));
+        if (match != (leaf->kind == ExprKind::kNot)) oracle.push_back(r);
+      }
+      // A second, independent leaf exercises the parallel per-leaf
+      // evaluation under AND/OR.
+      const size_t c2 = static_cast<size_t>(rng.Uniform(0, 3));
+      ExprPtr other = RandomPointLeaf(columns[c2].name, pool, rng);
+      ExprPtr both = Expr::Or({leaf, other});
+      const Schema other_schema({columns[c2]});
+      std::vector<uint64_t> both_oracle;
+      for (uint64_t r = 0; r < rows; ++r) {
+        if (std::binary_search(oracle.begin(), oracle.end(), r) ||
+            NaiveMatches(*other, {data[c2]->GetValue(r)}, other_schema)) {
+          both_oracle.push_back(r);
+        }
+      }
+      SCOPED_TRACE(leaf->ToString() + " on " +
+                   std::to_string(column.distinct_count()) + " entries");
+      EXPECT_EQ(server::EstimateExprRows(*table, NormalizeExpr(leaf)),
+                oracle.size());
+      for (int threads : {1, 2, 8}) {
+        ExecContext ctx(threads);
+        auto bm = EvalExpr(*table, leaf, &ctx);
+        ASSERT_TRUE(bm.ok()) << bm.status().ToString();
+        EXPECT_EQ(bm->SetPositions(), oracle) << threads << " threads";
+        auto count = EvalExprCount(*table, leaf, &ctx);
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        EXPECT_EQ(*count, oracle.size()) << threads << " threads";
+        auto both_bm = EvalExpr(*table, both, &ctx);
+        ASSERT_TRUE(both_bm.ok()) << both_bm.status().ToString();
+        EXPECT_EQ(both_bm->SetPositions(), both_oracle)
+            << both->ToString() << " at " << threads << " threads";
+        auto both_count = EvalExprCount(*table, both, &ctx);
+        ASSERT_TRUE(both_count.ok());
+        EXPECT_EQ(*both_count, both_oracle.size());
+      }
+    }
+  }
+  // Both resolver paths must have been exercised, many times over.
+  EXPECT_GE(probed, 50u);
+  EXPECT_GE(scanned, 50u);
+}
+
+// The cases the probe must hand to the scan, spelled out: each would
+// answer wrongly through the hash index alone.
+TEST(Expr, ProbeFallsBackWhereHashAndOrderDisagree) {
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  Dictionary ints;
+  ints.GetOrInsert(Value(int64_t{3}));
+  EXPECT_TRUE(ints.LookupIsOrderExact(Value(int64_t{3})));
+  EXPECT_FALSE(ints.LookupIsOrderExact(Value(3.0)));  // 3.0 = 3
+  EXPECT_TRUE(ints.LookupIsOrderExact(Value("3")));
+  Dictionary doubles;
+  doubles.GetOrInsert(Value(-0.0));
+  EXPECT_TRUE(doubles.LookupIsOrderExact(Value(0.0)));  // finds -0.0
+  EXPECT_EQ(doubles.Lookup(Value(0.0)), std::optional<Vid>(0));
+  EXPECT_FALSE(doubles.LookupIsOrderExact(Value(int64_t{0})));
+  EXPECT_TRUE(doubles.LookupIsOrderExact(nan));  // no NaN held: no match
+  doubles.GetOrInsert(nan);
+  doubles.GetOrInsert(nan);  // NaN is never variant-equal: a new entry
+  EXPECT_EQ(doubles.size(), 3u);
+  EXPECT_FALSE(doubles.LookupIsOrderExact(nan));
+  EXPECT_TRUE(doubles.LookupIsOrderExact(Value(1.0)));
+
+  // End to end: NaN = NaN matches both NaN entries' rows.
+  Schema schema({{"D", DataType::kDouble, false}});
+  auto t = MakeTable("T", schema,
+                     {{Value(nan)}, {Value(-0.0)}, {Value(nan)}, {Value(2.0)}});
+  auto count = [&](ExprPtr e) { return EvalExprCount(*t, e).ValueOrDie(); };
+  EXPECT_EQ(count(Expr::Compare("D", CompareOp::kEq, nan)), 2u);
+  EXPECT_EQ(count(Expr::Compare("D", CompareOp::kNe, nan)), 2u);
+  EXPECT_EQ(count(Expr::In("D", {Value(0.0), Value(-0.0), Value(0.0)})), 1u);
+  EXPECT_EQ(count(Expr::Compare("D", CompareOp::kEq, Value(int64_t{2}))), 1u);
+  EXPECT_EQ(count(Expr::Not(Expr::In("D", {nan, Value(int64_t{2})}))), 1u);
 }
 
 }  // namespace

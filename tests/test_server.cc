@@ -31,6 +31,7 @@
 #include "gtest/gtest.h"
 #include "query/expr.h"
 #include "server/admission.h"
+#include "server/batch.h"
 #include "server/client.h"
 #include "server/prepared.h"
 #include "server/server.h"
@@ -382,6 +383,66 @@ TEST(Admission, ClassifyStatement) {
   // Unknown table: point (it fails fast at execution).
   EXPECT_EQ(classify("SELECT COUNT(*) FROM Nope WHERE a = 1;", 1),
             Lane::kPoint);
+}
+
+// A shared group of COUNTs only is answered by one EvalExprCount, with
+// no selection bitmap; its answers and sharing counters match the
+// bitmap path that a group mixing COUNT and SELECT still takes.
+TEST(Batch, CountOnlyGroupsShareOneCount) {
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(testing::Figure1TableR()));
+  const std::string jones = "SELECT COUNT(*) FROM R WHERE Employee = 'Jones';";
+  const std::string not_in =
+      "SELECT COUNT(*) FROM R WHERE NOT Employee IN ('Jones', 'Ellis', "
+      "'Jones');";
+  const std::string range = "SELECT COUNT(*) FROM R WHERE Skill > 'K';";
+  const std::string ne = "SELECT COUNT(*) FROM R WHERE Employee != 'Jones';";
+  const std::string ne_select =
+      "SELECT Employee FROM R WHERE Employee != 'Jones';";
+  const std::string unknown = "SELECT COUNT(*) FROM R WHERE Nope = 1;";
+  const std::vector<std::string> texts = {jones,  not_in, jones,   range,
+                                          ne,     not_in, unknown, jones,
+                                          ne_select, range, unknown};
+  std::vector<Statement> stmts;
+  for (const std::string& t : texts) {
+    stmts.push_back(ParseStatement(t).ValueOrDie());
+  }
+  std::vector<const QueryRequest*> requests;
+  for (const Statement& st : stmts) requests.push_back(&st.query);
+
+  for (int threads : {1, 4}) {
+    ExecContext ctx(threads);
+    server::BatchStats stats;
+    std::vector<server::BatchOutcome> out =
+        server::ExecuteQueryBatch(catalog, requests, &ctx, &stats);
+    ASSERT_EQ(out.size(), texts.size());
+    QueryEngine engine(&catalog);
+    for (size_t i = 0; i < texts.size(); ++i) {
+      SCOPED_TRACE(texts[i]);
+      Result<QueryResult> alone = engine.Execute(*requests[i], &ctx);
+      ASSERT_EQ(out[i].status.ok(), alone.ok());
+      if (!alone.ok()) {
+        EXPECT_EQ(out[i].status.ToString(), alone.status().ToString());
+        continue;
+      }
+      if (requests[i]->verb == QueryRequest::Verb::kCount) {
+        EXPECT_EQ(out[i].result.count, alone.ValueOrDie().count);
+      } else {
+        EXPECT_EQ(out[i].result.table->rows(),
+                  alone.ValueOrDie().table->rows());
+      }
+    }
+    EXPECT_EQ(out[0].result.count, 3u);
+    EXPECT_EQ(out[1].result.count, 2u);  // Roberts, Harrison
+    EXPECT_EQ(out[4].result.count, 4u);
+    // Groups: jones x3 (2 hits), not_in x2 (1), range x2 (1),
+    // ne + ne_select (1); the failing unknown-column pair shares nothing.
+    EXPECT_EQ(stats.shared_groups, 4u);
+    EXPECT_EQ(stats.batch_hits, 5u);
+    EXPECT_FALSE(out[0].shared);
+    EXPECT_TRUE(out[2].shared);
+    EXPECT_TRUE(out[7].shared);
+  }
 }
 
 TEST(Admission, BoundedQueueBackpressureAndDrain) {
