@@ -14,12 +14,14 @@
 //
 // The mixed (WAH x WAH) pairs are committed too: they must track the
 // plain WAH path (same kernel underneath), pinning "no regression in the
-// regime WAH already handled well".
+// regime WAH already handled well". BM_CodecSplit / BM_CodecConcat gate
+// the PARTITION and UNION data-movement kernels per input container.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "bitmap/codec.h"
+#include "bitmap/wah_filter.h"
 #include "bitmap/wah_ops.h"
 #include "common/random.h"
 
@@ -160,6 +162,61 @@ void BM_WahPathOrManySparse(benchmark::State& state) {
   }
 }
 
+// ---- Data movement (PARTITION / UNION shape) -----------------------------
+//
+// CodecSplit routes one bitmap's set bits to the selected and the
+// complement side in its own container; CodecConcat appends two halves.
+// The sweep crosses input density (array / WAH / bitset) with the
+// selection's shape: 0 = a clustered prefix (PARTITION on a sorted
+// column), 1 = scattered half, 2 = scattered ~3%.
+
+WahBitmap MakeSelection(int64_t shape) {
+  if (shape == 0) {
+    WahBitmap prefix;
+    prefix.AppendRun(true, kBits * 3 / 7);
+    prefix.AppendRun(false, kBits - prefix.size());
+    return prefix;
+  }
+  return MakeWah(shape == 1 ? 0.5 : 1.0 / 32, 77);
+}
+
+void BM_CodecSplit(benchmark::State& state) {
+  ValueBitmap vb = MakeValue(DensityFromArg(state.range(0)), 7);
+  WahPositionFilter filter(MakeSelection(state.range(1)));
+  for (auto _ : state) {
+    std::pair<ValueBitmap, ValueBitmap> sides = CodecSplit(filter, vb);
+    benchmark::DoNotOptimize(sides);
+  }
+  state.counters["rep"] = static_cast<double>(vb.rep());
+}
+
+// Halves of unequal, unaligned length, so b lands mid-group and mid-word.
+void BM_CodecConcat(benchmark::State& state) {
+  const double density = DensityFromArg(state.range(0));
+  ValueBitmap whole = MakeValue(density, 8);
+  WahBitmap prefix;
+  prefix.AppendRun(true, kBits / 3 + 17);
+  prefix.AppendRun(false, kBits - prefix.size());
+  auto [a, b] = CodecSplit(WahPositionFilter(prefix), whole);
+  for (auto _ : state) {
+    ValueBitmap c = CodecConcat(a, b);
+    benchmark::DoNotOptimize(c);
+  }
+  state.counters["rep"] = static_cast<double>(whole.rep());
+}
+
+void SplitSweep(benchmark::internal::Benchmark* b) {
+  for (int64_t density : {10, 2, 0}) {
+    for (int64_t shape : {0, 1, 2}) b->Args({density, shape});
+  }
+  b->Unit(benchmark::kMicrosecond);
+}
+
+void ConcatSweep(benchmark::internal::Benchmark* b) {
+  for (int64_t density : {10, 2, 0}) b->Arg(density);
+  b->Unit(benchmark::kMicrosecond);
+}
+
 // Density-pair sweep: array x array, array x WAH, array x bitset,
 // WAH x WAH, WAH x bitset, bitset x bitset.
 void RepPairSweep(benchmark::internal::Benchmark* b) {
@@ -185,6 +242,8 @@ BENCHMARK(BM_CodecAndCount)->Apply(RepPairSweep);
 BENCHMARK(BM_WahPathAndCount)->Apply(RepPairSweep);
 BENCHMARK(BM_CodecOrManySparse)->Apply(KSweep);
 BENCHMARK(BM_WahPathOrManySparse)->Apply(KSweep);
+BENCHMARK(BM_CodecSplit)->Apply(SplitSweep);
+BENCHMARK(BM_CodecConcat)->Apply(ConcatSweep);
 
 }  // namespace
 }  // namespace cods

@@ -410,12 +410,18 @@ ValueBitmap ValueBitmap::FromPositions(std::vector<uint32_t> positions,
       vb.positions_ = std::move(positions);
       GlobalCodecStats().array_built.fetch_add(1, std::memory_order_relaxed);
       break;
-    case BitmapRep::kWah: {
-      for (uint32_t p : positions) vb.wah_.AppendSetBit(p);
-      vb.wah_.AppendRun(false, size - vb.wah_.size());
+    case BitmapRep::kWah:
+      if (vb.ones_ == 0 || vb.ones_ == size) {
+        vb.wah_ = MakeWahFill(vb.ones_ != 0, size);
+      } else {
+        // Scatter, then one canonical encode: a group at a time instead
+        // of an append per position.
+        std::vector<uint64_t> words(DenseWordCount(size), 0);
+        for (uint32_t p : positions) words[p >> 6] |= uint64_t{1} << (p & 63);
+        vb.wah_ = DenseToWah(words.data(), size);
+      }
       GlobalCodecStats().wah_built.fetch_add(1, std::memory_order_relaxed);
       break;
-    }
     case BitmapRep::kBitset: {
       vb.words_.assign(DenseWordCount(size), 0);
       for (uint32_t p : positions) {
@@ -567,27 +573,6 @@ WahBitmap ValueBitmap::ToWah() const {
       return DenseToWah(words_.data(), size_);
   }
   return WahBitmap();
-}
-
-void ValueBitmap::AppendToWah(WahBitmap* out) const {
-  switch (rep_) {
-    case BitmapRep::kArray: {
-      uint64_t base = out->size();
-      for (uint32_t p : positions_) out->AppendSetBit(base + p);
-      out->AppendRun(false, base + size_ - out->size());
-      return;
-    }
-    case BitmapRep::kWah:
-      out->Concat(wah_);
-      return;
-    case BitmapRep::kBitset: {
-      for (uint64_t off = 0; off < size_; off += kWahGroupBits) {
-        uint64_t nbits = std::min(kWahGroupBits, size_ - off);
-        out->AppendBits(Extract63(words_.data(), words_.size(), off), nbits);
-      }
-      return;
-    }
-  }
 }
 
 uint64_t ValueBitmap::SizeBytes() const {
@@ -939,47 +924,69 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
   return CountWords(AccumulateUnion(operands, size));
 }
 
-// ---- Position filter -----------------------------------------------------
+// ---- Data movement: filter, split, concat --------------------------------
+
+namespace {
+
+// The split, its second side only when `want_out`: one pass sends each
+// set bit p to the first side at Rank(p) when the filter keeps it, else
+// to the second at p - Rank(p). Positions collect in thread-local
+// scratch, so nothing regrows per call; FromPositions then builds each
+// side in the container its exact count picks.
+std::pair<ValueBitmap, ValueBitmap> Split(const WahPositionFilter& filter,
+                                          const ValueBitmap& vb,
+                                          bool want_out) {
+  CODS_DCHECK(vb.size() == filter.domain());
+  thread_local std::vector<uint32_t> in_pos, out_pos;
+  in_pos.clear();
+  out_pos.clear();
+  vb.ForEachSetBit([&](uint64_t p) {
+    if (filter.Contains(p)) {
+      in_pos.push_back(static_cast<uint32_t>(filter.Rank(p)));
+    } else if (want_out) {
+      out_pos.push_back(static_cast<uint32_t>(p - filter.Rank(p)));
+    }
+  });
+  std::pair<ValueBitmap, ValueBitmap> sides;
+  sides.first = ValueBitmap::FromPositions(
+      std::vector<uint32_t>(in_pos.begin(), in_pos.end()),
+      filter.num_positions());
+  if (want_out) {
+    sides.second = ValueBitmap::FromPositions(
+        std::vector<uint32_t>(out_pos.begin(), out_pos.end()),
+        filter.domain() - filter.num_positions());
+  }
+  return sides;
+}
+
+}  // namespace
+
+std::pair<ValueBitmap, ValueBitmap> CodecSplit(const WahPositionFilter& filter,
+                                               const ValueBitmap& vb) {
+  return Split(filter, vb, /*want_out=*/true);
+}
 
 ValueBitmap CodecFilter(const WahPositionFilter& filter,
                         const ValueBitmap& vb) {
-  CODS_DCHECK(vb.size() == filter.domain());
-  switch (vb.rep()) {
-    case BitmapRep::kArray: {
-      std::vector<uint32_t> out;
-      out.reserve(vb.array_positions().size());
-      for (uint32_t p : vb.array_positions()) {
-        if (filter.Contains(p)) {
-          out.push_back(static_cast<uint32_t>(filter.Rank(p)));
-        }
-      }
-      return ValueBitmap::FromPositions(std::move(out),
-                                        filter.num_positions());
-    }
-    case BitmapRep::kWah:
-      return ValueBitmap::FromWah(filter.Filter(vb.wah()));
-    case BitmapRep::kBitset: {
-      std::vector<uint64_t> out(DenseWordCount(filter.num_positions()), 0);
-      vb.ForEachSetBit([&](uint64_t p) {
-        if (filter.Contains(p)) {
-          uint64_t r = filter.Rank(p);
-          out[r >> 6] |= uint64_t{1} << (r & 63);
-        }
-      });
-      return ValueBitmap::FromDenseWords(std::move(out),
-                                         filter.num_positions());
-    }
-  }
-  return ValueBitmap();
+  return Split(filter, vb, /*want_out=*/false).first;
 }
 
-std::vector<ValueBitmap> ToValueBitmaps(std::vector<WahBitmap> wahs) {
-  std::vector<ValueBitmap> out;
-  out.reserve(wahs.size());
-  for (WahBitmap& wah : wahs) {
-    out.push_back(ValueBitmap::FromWah(std::move(wah)));
+ValueBitmap CodecConcat(const ValueBitmap& a, const ValueBitmap& b) {
+  const uint64_t ones = a.CountOnes() + b.CountOnes();
+  if (ChooseBitmapRep(ones, a.size() + b.size()) != BitmapRep::kArray) {
+    WahBitmap out = a.ToWah();
+    out.Concat(b.ToWah());
+    return ValueBitmap::FromWah(std::move(out));
   }
-  return out;
+  std::vector<uint32_t> positions;
+  positions.reserve(ones);
+  a.ForEachSetBit([&](uint64_t p) {
+    positions.push_back(static_cast<uint32_t>(p));
+  });
+  b.ForEachSetBit([&](uint64_t p) {
+    positions.push_back(static_cast<uint32_t>(a.size() + p));
+  });
+  return ValueBitmap::FromPositions(std::move(positions), a.size() + b.size());
 }
 
 }  // namespace cods

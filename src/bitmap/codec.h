@@ -9,7 +9,7 @@
 //
 //   * kArray  — sorted uint32_t positions, for sparse values. AND/OR
 //               become galloping sorted-set merges over just the set
-//               positions; a position filter is a per-element rank.
+//               positions; filter, split and concat push positions.
 //   * kWah    — the paper's WAH runs (bitmap/wah_bitmap.h), for the
 //               mixed regime and as the interchange form every kernel
 //               can produce and consume.
@@ -37,6 +37,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bitmap/wah_bitmap.h"
@@ -135,9 +136,24 @@ class ValueBitmap {
         for (uint32_t p : positions_) fn(static_cast<uint64_t>(p));
         return;
       case BitmapRep::kWah: {
-        WahSetBitIterator it(wah_);
-        uint64_t pos;
-        while (it.Next(&pos)) fn(pos);
+        // Walks the code words directly: a literal's bits, a 1-fill's run.
+        uint64_t base = 0;
+        auto literal = [&](uint64_t bits) {
+          for (; bits != 0; bits &= bits - 1) {
+            fn(base + static_cast<uint64_t>(std::countr_zero(bits)));
+          }
+        };
+        for (uint64_t w : wah_.words()) {
+          if (!wah::IsFill(w)) {
+            literal(wah::Literal(w));
+            base += kWahGroupBits;
+            continue;
+          }
+          const uint64_t end = base + wah::FillGroups(w) * kWahGroupBits;
+          for (; wah::FillValue(w) && base < end; ++base) fn(base);
+          base = end;
+        }
+        literal(wah_.tail());
         return;
       }
       case BitmapRep::kBitset:
@@ -154,11 +170,6 @@ class ValueBitmap {
 
   /// Re-encodes into the canonical WAH interchange form.
   WahBitmap ToWah() const;
-
-  /// Appends this bitmap's full content after `out`'s bits (the UNION
-  /// concatenation path). Equivalent to out->Concat(ToWah()) without
-  /// materializing the intermediate.
-  void AppendToWah(WahBitmap* out) const;
 
   /// Bytes of the active container's payload.
   uint64_t SizeBytes() const;
@@ -241,17 +252,32 @@ WahBitmap CodecOrManyWah(const std::vector<const ValueBitmap*>& operands,
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
                           uint64_t size);
 
-/// Row-subset projection through a position filter (PARTITION / SELECT
-/// materialization): keeps the bits at the filter's positions, re-based
-/// onto the filtered domain. Per-element Contains/Rank for arrays and
-/// bitset set-bits; the compressed-domain WahPositionFilter::Filter for
-/// WAH.
+// ---- Data movement (PARTITION, UNION, DECOMPOSE, SELECT, JOIN) -----------
+//
+// These move set bits between containers without a WAH round trip:
+// positions are routed or shifted in one pass over the input's own
+// container and the output is built once, in the container its exact
+// popcount picks (arrays by push, bitsets and mixed WAH from dense
+// words, homogeneous outputs as one fill).
+
+/// PARTITION's bitmap filtering: splits vb by the filter's selection in
+/// one pass. `first` holds the selected bits re-based onto the selected
+/// rows (length filter.num_positions()): set bit p lands at Rank(p).
+/// `second` holds the rest re-based onto the complement's rows: p lands
+/// at p - Rank(p).
+std::pair<ValueBitmap, ValueBitmap> CodecSplit(const WahPositionFilter& filter,
+                                               const ValueBitmap& vb);
+
+/// The one-sided CodecSplit, `first` only: the row-subset projection of
+/// DECOMPOSE, SELECT and JOIN.
 ValueBitmap CodecFilter(const WahPositionFilter& filter,
                         const ValueBitmap& vb);
 
-/// Converts a freshly built WAH vector into codec form (serial; callers
-/// with an ExecContext parallelize per element themselves).
-std::vector<ValueBitmap> ToValueBitmaps(std::vector<WahBitmap> wahs);
+/// UNION's concatenation: a's bits followed by b's, length
+/// a.size() + b.size(). An array result is a's positions then b's
+/// shifted by a.size(); any other result appends b's WAH form to a's
+/// (WahBitmap::Concat, which splices code words).
+ValueBitmap CodecConcat(const ValueBitmap& a, const ValueBitmap& b);
 
 }  // namespace cods
 

@@ -49,8 +49,7 @@ WahPositionFilter::WahPositionFilter(const std::vector<uint64_t>& positions,
                                      uint64_t domain)
     : domain_(domain),
       num_positions_(positions.size()),
-      member_words_((domain + 63) / 64, 0),
-      rank_prefix_((domain + 63) / 64 + 1, 0) {
+      member_words_((domain + 63) / 64, 0) {
   for (size_t i = 0; i < positions.size(); ++i) {
     uint64_t pos = positions[i];
     CODS_CHECK(pos < domain) << "position " << pos << " outside domain "
@@ -60,6 +59,38 @@ WahPositionFilter::WahPositionFilter(const std::vector<uint64_t>& positions,
     }
     member_words_[pos / 64] |= uint64_t{1} << (pos % 64);
   }
+  IndexRanks();
+}
+
+WahPositionFilter::WahPositionFilter(const WahBitmap& selection)
+    : domain_(selection.size()),
+      num_positions_(selection.CountOnes()),
+      member_words_((selection.size() + 63) / 64, 0) {
+  uint64_t pos = 0;
+  auto deposit = [&](uint64_t payload) {  // straddles at most two words
+    member_words_[pos / 64] |= payload << (pos % 64);
+    if (pos % 64 > 1 && pos / 64 + 1 < member_words_.size()) {
+      member_words_[pos / 64 + 1] |= payload >> (64 - pos % 64);
+    }
+    pos += kWahGroupBits;
+  };
+  for (uint64_t w : selection.words()) {
+    if (!wah::IsFill(w)) {
+      deposit(wah::Literal(w));
+    } else if (!wah::FillValue(w)) {
+      pos += wah::FillGroups(w) * kWahGroupBits;
+    } else {
+      for (uint64_t g = 0; g < wah::FillGroups(w); ++g) {
+        deposit(wah::kPayloadMask);
+      }
+    }
+  }
+  if (selection.tail_bits() > 0) deposit(selection.tail());
+  IndexRanks();
+}
+
+void WahPositionFilter::IndexRanks() {
+  rank_prefix_.assign(member_words_.size() + 1, 0);
   uint64_t running = 0;
   for (size_t w = 0; w < member_words_.size(); ++w) {
     rank_prefix_[w] = running;
@@ -67,18 +98,6 @@ WahPositionFilter::WahPositionFilter(const std::vector<uint64_t>& positions,
   }
   rank_prefix_[member_words_.size()] = running;
   CODS_CHECK(running == num_positions_);
-}
-
-bool WahPositionFilter::Contains(uint64_t pos) const {
-  CODS_DCHECK(pos < domain_);
-  return (member_words_[pos / 64] >> (pos % 64)) & 1;
-}
-
-uint64_t WahPositionFilter::Rank(uint64_t pos) const {
-  CODS_DCHECK(Contains(pos));
-  uint64_t word = member_words_[pos / 64] & ((uint64_t{1} << (pos % 64)) - 1);
-  return rank_prefix_[pos / 64] +
-         static_cast<uint64_t>(std::popcount(word));
 }
 
 WahBitmap WahPositionFilter::Filter(const WahBitmap& src) const {

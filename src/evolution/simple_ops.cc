@@ -2,7 +2,6 @@
 
 #include "bitmap/codec.h"
 #include "bitmap/wah_filter.h"
-#include "bitmap/wah_ops.h"
 #include "exec/exec.h"
 #include "exec/parallel_build.h"
 #include "storage/value_compare.h"
@@ -106,28 +105,22 @@ Result<std::shared_ptr<const Table>> UnionTablesOp(
           b_to_out[v] = dict.GetOrInsert(cb.dict().value(v));
           b_of_out[b_to_out[v]] = v;
         }
-        std::vector<WahBitmap> bitmaps(dict.size());
+        // Per value: a's bitmap then b's, concatenated in the output's
+        // final container; a value absent from one side contributes a
+        // zero fill of that side's rows.
+        const ValueBitmap a_zeros = ValueBitmap::FromPositions({}, a.rows());
+        const ValueBitmap b_zeros = ValueBitmap::FromPositions({}, b.rows());
+        std::vector<ValueBitmap> bitmaps(dict.size());
         CODS_RETURN_NOT_OK(ParallelFor(
             exec, 0, dict.size(), 16, [&](uint64_t v) {
-              // Prefix: a's bitmap (values absent from a are zero runs).
-              if (v < ca.distinct_count()) {
-                ca.bitmap(static_cast<Vid>(v)).AppendToWah(&bitmaps[v]);
-              } else {
-                bitmaps[v].AppendRun(false, a.rows());
-              }
-              // Suffix: b's bitmap streamed onto the compressed form
-              // (WAH containers splice code words when a.rows() is
-              // group-aligned; array/bitset containers append their
-              // groups without materializing an intermediate).
-              if (b_of_out[v] != kNoVid) {
-                cb.bitmap(b_of_out[v]).AppendToWah(&bitmaps[v]);
-              } else {
-                bitmaps[v].AppendRun(false, b.rows());
-              }
+              bitmaps[v] = CodecConcat(
+                  v < ca.distinct_count() ? ca.bitmap(static_cast<Vid>(v))
+                                          : a_zeros,
+                  b_of_out[v] != kNoVid ? cb.bitmap(b_of_out[v]) : b_zeros);
               return Status::OK();
             }));
-        cols[i] = Column::FromBitmaps(ca.type(), std::move(dict),
-                                      std::move(bitmaps), out_rows, &exec);
+        cols[i] = Column::FromValueBitmaps(ca.type(), std::move(dict),
+                                           std::move(bitmaps), out_rows);
         return Status::OK();
       }));
   // Keys rarely survive a union (duplicates may appear); drop them.
@@ -162,35 +155,32 @@ Result<PartitionResult> PartitionTableOp(
     }
     selection = CodecOrManyWah(qualifying, src.rows());
   }
-  std::vector<uint64_t> pos1 = selection.SetPositions();
-  std::vector<uint64_t> pos2 = WahNot(selection).SetPositions();
-
-  auto build_side = [&](const std::string& name,
-                        const std::vector<uint64_t>& positions)
-      -> Result<std::shared_ptr<const Table>> {
-    WahPositionFilter filter(positions, src.rows());
-    std::vector<std::shared_ptr<const Column>> cols(src.num_columns());
-    // Column tasks nest the per-vid filter tasks inside
+  // One rank index over the selection serves both outputs: a selected
+  // row's index is its rank, any other row's is its position minus it.
+  WahPositionFilter filter(selection);
+  const uint64_t rows1 = filter.num_positions();
+  const uint64_t rows2 = src.rows() - rows1;
+  std::vector<std::shared_ptr<const Column>> cols1(src.num_columns());
+  std::vector<std::shared_ptr<const Column>> cols2(src.num_columns());
+  {
+    ScopedStep step(observer, opname, "filtering",
+                    std::to_string(rows1) + " + " + std::to_string(rows2) +
+                        " rows");
+    // Column tasks nest the per-vid split tasks inside
     // FilterColumnBitmaps.
     CODS_RETURN_NOT_OK(ParallelFor(
         exec, 0, src.num_columns(), 1, [&](uint64_t i) -> Status {
           CODS_ASSIGN_OR_RETURN(
-              cols[i], FilterColumnBitmaps(exec, *src.column(i), filter,
-                                           "PARTITION TABLE"));
+              cols1[i], FilterColumnBitmaps(exec, *src.column(i), filter,
+                                            "PARTITION TABLE", &cols2[i]));
           return Status::OK();
         }));
-    return Table::Make(name, src.schema(), std::move(cols),
-                       positions.size());
-  };
-
-  PartitionResult result;
-  {
-    ScopedStep step(observer, opname, "filtering",
-                    std::to_string(pos1.size()) + " + " +
-                        std::to_string(pos2.size()) + " rows");
-    CODS_ASSIGN_OR_RETURN(result.matching, build_side(name1, pos1));
-    CODS_ASSIGN_OR_RETURN(result.rest, build_side(name2, pos2));
   }
+  PartitionResult result;
+  CODS_ASSIGN_OR_RETURN(result.matching, Table::Make(name1, src.schema(),
+                                                     std::move(cols1), rows1));
+  CODS_ASSIGN_OR_RETURN(result.rest, Table::Make(name2, src.schema(),
+                                                 std::move(cols2), rows2));
   return result;
 }
 

@@ -1,9 +1,9 @@
 // The structurally simple SMOs of Table 1: CREATE / DROP / RENAME TABLE
 // are catalog-only; COPY shares immutable columns; UNION and PARTITION
-// move data but never change values — UNION concatenates compressed
-// bitmaps, PARTITION splits them with the same position-filter primitive
-// decomposition uses; ADD / DROP / RENAME COLUMN touch only the affected
-// column.
+// move data but never change values — UNION concatenates each value's
+// bitmaps (CodecConcat), PARTITION splits them with the rank index
+// decomposition filters by (CodecSplit); ADD / DROP / RENAME COLUMN
+// touch only the affected column.
 
 #ifndef CODS_EVOLUTION_SIMPLE_OPS_H_
 #define CODS_EVOLUTION_SIMPLE_OPS_H_
@@ -36,8 +36,9 @@ Result<std::shared_ptr<const Table>> CopyTableOp(const Table& src,
                                                  bool deep = false);
 
 /// UNION TABLES: concatenates the tuples of `a` and `b` (same layout)
-/// into one table. Per value, the output bitmap is the concatenation of
-/// the input bitmaps — executed on compressed words.
+/// into one table. Per value, the output bitmap is a's bitmap followed
+/// by b's (a zero fill for a side that lacks the value), built directly
+/// in its final container by CodecConcat.
 Result<std::shared_ptr<const Table>> UnionTablesOp(
     const Table& a, const Table& b, const std::string& name,
     EvolutionObserver* observer = nullptr, const ExecContext* ctx = nullptr);
@@ -45,8 +46,10 @@ Result<std::shared_ptr<const Table>> UnionTablesOp(
 /// PARTITION TABLE: splits `src` into rows satisfying
 /// `column compare_op literal` (first output) and the rest (second).
 /// The selection bitmap is an OR of value bitmaps whose dictionary entry
-/// satisfies the predicate; both outputs are produced by position
-/// filtering.
+/// satisfies the predicate. One rank index over it (WahPositionFilter)
+/// serves both outputs: each value bitmap is split in one pass
+/// (CodecSplit), a selected row landing at its rank and any other row at
+/// its position minus its rank.
 struct PartitionResult {
   std::shared_ptr<const Table> matching;
   std::shared_ptr<const Table> rest;

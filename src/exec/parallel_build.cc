@@ -1,6 +1,7 @@
 #include "exec/parallel_build.h"
 
 #include <atomic>
+#include <tuple>
 
 #include "bitmap/codec.h"
 #include "common/logging.h"
@@ -79,17 +80,29 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
 
 Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
-    const WahPositionFilter& filter, const std::string& op_name) {
+    const WahPositionFilter& filter, const std::string& op_name,
+    std::shared_ptr<const Column>* rest) {
   if (column.encoding() != ColumnEncoding::kWahBitmap) {
     return Status::InvalidArgument(op_name +
                                    " requires WAH-encoded columns");
   }
   std::vector<ValueBitmap> filtered(column.distinct_count());
+  std::vector<ValueBitmap> dropped(rest != nullptr ? filtered.size() : 0);
   CODS_RETURN_NOT_OK(
       ParallelFor(ctx, 0, column.distinct_count(), 16, [&](uint64_t v) {
-        filtered[v] = CodecFilter(filter, column.bitmap(static_cast<Vid>(v)));
+        const ValueBitmap& vb = column.bitmap(static_cast<Vid>(v));
+        if (rest != nullptr) {
+          std::tie(filtered[v], dropped[v]) = CodecSplit(filter, vb);
+        } else {
+          filtered[v] = CodecFilter(filter, vb);
+        }
         return Status::OK();
       }));
+  if (rest != nullptr) {
+    *rest = Column::FromValueBitmaps(column.type(), column.dict(),
+                                     std::move(dropped),
+                                     filter.domain() - filter.num_positions());
+  }
   return std::shared_ptr<const Column>(
       Column::FromValueBitmaps(column.type(), column.dict(),
                                std::move(filtered), filter.num_positions()));

@@ -481,8 +481,7 @@ Result<std::shared_ptr<const Table>> QueryEngine::SelectRows(
 
   ExecContext exec = ResolveContext(ctx);
   CODS_ASSIGN_OR_RETURN(WahBitmap selection, EvalExpr(table, where, &exec));
-  std::vector<uint64_t> positions = selection.SetPositions();
-  WahPositionFilter filter(positions, table.rows());
+  WahPositionFilter filter(selection);
   // Column tasks nest the per-vid filter tasks inside FilterColumnBitmaps.
   CODS_RETURN_NOT_OK(
       ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
@@ -492,7 +491,7 @@ Result<std::shared_ptr<const Table>> QueryEngine::SelectRows(
         return Status::OK();
       }));
   return Table::Make(out_name, std::move(schema), std::move(cols),
-                     positions.size());
+                     filter.num_positions());
 }
 
 Result<uint64_t> QueryEngine::CountRows(const Table& table,

@@ -185,8 +185,7 @@ std::vector<BatchOutcome> ExecuteQueryBatch(
         continue;
       }
       if (filter == nullptr) {
-        filter = std::make_unique<WahPositionFilter>(selection.SetPositions(),
-                                                     table.rows());
+        filter = std::make_unique<WahPositionFilter>(selection);
       }
       Result<std::shared_ptr<const Table>> built =
           SelectFromFilter(table, q, *filter, exec);

@@ -196,15 +196,112 @@ TEST(CodecKernels, FilterMatchesCompressedOracle) {
   }
 }
 
-TEST(CodecKernels, AppendToWahMatchesConcat) {
-  WahBitmap acc = WahBitmap::FromPositions({1, 63, 200}, 300);
-  for (const DensityClass& c : kClasses) {
-    ValueBitmap vb = MakeRandom(kSweepSize, c.ones, 33 + c.ones);
-    WahBitmap via_append = acc;
-    vb.AppendToWah(&via_append);
-    WahBitmap via_concat = acc;
-    via_concat.Concat(vb.ToWah());
-    EXPECT_EQ(via_append, via_concat) << vb.ToString();
+// ---- Data-movement kernels vs a decode-to-positions oracle ---------------
+
+const uint64_t kMoveSizes[] = {0, 1, 62, 63, 64, 65, 127, 4095, 65537};
+
+std::vector<uint32_t> RangePositions(uint64_t begin, uint64_t end) {
+  std::vector<uint32_t> out;
+  for (uint64_t p = begin; p < end; ++p) {
+    out.push_back(static_cast<uint32_t>(p));
+  }
+  return out;
+}
+
+// Inputs covering every container: all-zero and all-one fills, array,
+// mixed WAH, bitset, and a clustered run (WAH with 1-fills).
+std::vector<ValueBitmap> MoveInputs(uint64_t size, uint64_t seed) {
+  std::vector<ValueBitmap> out;
+  out.push_back(ValueBitmap::FromPositions({}, size));
+  out.push_back(ValueBitmap::FromPositions(RangePositions(0, size), size));
+  for (uint64_t ones : {std::max<uint64_t>(size / 64, 1), size / 8, size / 2}) {
+    if (ones <= size) out.push_back(MakeRandom(size, ones, seed + ones));
+  }
+  out.push_back(ValueBitmap::FromPositions(
+      RangePositions(size / 3, size / 3 + size / 8), size));
+  return out;
+}
+
+// Selections: none, all, a prefix, a suffix, a middle run, alternating
+// bits, and random at three densities.
+std::vector<std::vector<bool>> MoveSelections(uint64_t size, uint64_t seed) {
+  std::vector<std::vector<bool>> out(9, std::vector<bool>(size, false));
+  Rng rng(seed);
+  for (uint64_t p = 0; p < size; ++p) {
+    out[1][p] = true;
+    out[2][p] = p < size / 3;
+    out[3][p] = p >= size - size / 4;
+    out[4][p] = p >= size / 5 && p < size / 2 + 7;
+    out[5][p] = p % 2 == 1;
+    out[6][p] = rng.NextBool(0.02);
+    out[7][p] = rng.NextBool(0.5);
+    out[8][p] = rng.NextBool(0.97);
+  }
+  return out;
+}
+
+void ExpectMoveResult(const ValueBitmap& got,
+                      const std::vector<uint64_t>& want, uint64_t size,
+                      const std::string& what) {
+  EXPECT_EQ(got.size(), size) << what;
+  EXPECT_EQ(got.SetPositions(), want) << what;
+  EXPECT_EQ(got.rep(), ChooseBitmapRep(want.size(), size)) << what;
+  EXPECT_TRUE(got.Validate(size).ok()) << what << ": "
+                                       << got.Validate(size).ToString();
+}
+
+TEST(CodecMoveKernels, SplitAndFilterMatchPositionOracle) {
+  std::set<BitmapRep> reps_seen;
+  for (uint64_t size : kMoveSizes) {
+    std::vector<ValueBitmap> inputs = MoveInputs(size, size + 3);
+    std::vector<std::vector<bool>> selections = MoveSelections(size, size);
+    for (size_t si = 0; si < selections.size(); ++si) {
+      const std::vector<bool>& sel = selections[si];
+      WahBitmap sel_wah = WahBitmap::FromBools(sel);
+      WahPositionFilter filter(sel_wah);
+      const uint64_t kept_rows = sel_wah.CountOnes();
+      for (const ValueBitmap& vb : inputs) {
+        reps_seen.insert(vb.rep());
+        // Oracle: walk the decoded positions, counting selected rows.
+        std::vector<uint64_t> want_in, want_out;
+        uint64_t rank = 0;
+        size_t k = 0;
+        std::vector<uint64_t> ones = vb.SetPositions();
+        for (uint64_t p = 0; p < size; ++p) {
+          bool set = k < ones.size() && ones[k] == p;
+          if (set) ++k;
+          if (sel[p]) {
+            if (set) want_in.push_back(rank);
+            ++rank;
+          } else if (set) {
+            want_out.push_back(p - rank);
+          }
+        }
+        const std::string what = "size " + std::to_string(size) +
+                                 " selection " + std::to_string(si) + " " +
+                                 vb.ToString();
+        auto [in, out] = CodecSplit(filter, vb);
+        ExpectMoveResult(in, want_in, kept_rows, what + " (in)");
+        ExpectMoveResult(out, want_out, size - kept_rows, what + " (out)");
+        EXPECT_EQ(CodecFilter(filter, vb), in) << what;
+      }
+    }
+  }
+  EXPECT_EQ(reps_seen.size(), 3u);
+}
+
+TEST(CodecMoveKernels, ConcatMatchesPositionOracle) {
+  for (uint64_t size_a : kMoveSizes) {
+    for (uint64_t size_b : kMoveSizes) {
+      for (const ValueBitmap& a : MoveInputs(size_a, size_a + 5)) {
+        for (const ValueBitmap& b : MoveInputs(size_b, size_b + 11)) {
+          std::vector<uint64_t> want = a.SetPositions();
+          for (uint64_t p : b.SetPositions()) want.push_back(size_a + p);
+          ExpectMoveResult(CodecConcat(a, b), want, size_a + size_b,
+                           a.ToString() + " ++ " + b.ToString());
+        }
+      }
+    }
   }
 }
 

@@ -122,28 +122,50 @@ TEST(ParallelDeterminismTest, MergeGeneral) {
 }
 
 TEST(ParallelDeterminismTest, UnionAndPartition) {
-  auto r = TestTable();
-  ExecContext serial(1);
-  auto ref_union = UnionTablesOp(*r, *r->WithName("R2"), "U", nullptr,
-                                 &serial);
-  ASSERT_TRUE(ref_union.ok());
-  Value pivot(static_cast<int64_t>(250));
-  auto ref_part = PartitionTableOp(*r, "A", "B", kKeyColumn, CompareOp::kLt,
-                                   pivot, nullptr, &serial);
-  ASSERT_TRUE(ref_part.ok());
-  for (int threads : kThreadCounts) {
-    ExecContext ctx(threads);
-    auto u = UnionTablesOp(*r, *r->WithName("R2"), "U", nullptr, &ctx);
-    ASSERT_TRUE(u.ok()) << u.status().ToString();
-    ExpectTablesIdentical(**ref_union, **u,
-                          "union @" + std::to_string(threads));
-    auto p = PartitionTableOp(*r, "A", "B", kKeyColumn, CompareOp::kLt,
-                              pivot, nullptr, &ctx);
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-    ExpectTablesIdentical(*ref_part->matching, *p->matching,
-                          "partition matching @" + std::to_string(threads));
-    ExpectTablesIdentical(*ref_part->rest, *p->rest,
-                          "partition rest @" + std::to_string(threads));
+  // Row counts off the 63-bit WAH group and 64-bit word grid, and
+  // selections from a dense half (many runs) to a sparse ~3%.
+  struct Split {
+    const char* column;
+    int64_t pivot;
+  };
+  const Split kSplits[] = {{kKeyColumn, 250}, {kPayloadColumn, 3}};
+  for (uint64_t rows : {30'000, 4'097, 20'011}) {
+    auto r = TestTable(rows);
+    ExecContext serial(1);
+    auto ref_union = UnionTablesOp(*r, *r->WithName("R2"), "U", nullptr,
+                                   &serial);
+    ASSERT_TRUE(ref_union.ok());
+    for (const Split& split : kSplits) {
+      const std::string label = std::to_string(rows) + " rows, " +
+                                split.column + " < " +
+                                std::to_string(split.pivot);
+      Value pivot(split.pivot);
+      auto ref_part = PartitionTableOp(*r, "A", "B", split.column,
+                                       CompareOp::kLt, pivot, nullptr,
+                                       &serial);
+      ASSERT_TRUE(ref_part.ok());
+      for (int threads : kThreadCounts) {
+        ExecContext ctx(threads);
+        auto u = UnionTablesOp(*r, *r->WithName("R2"), "U", nullptr, &ctx);
+        ASSERT_TRUE(u.ok()) << u.status().ToString();
+        ExpectTablesIdentical(**ref_union, **u,
+                              label + " union @" + std::to_string(threads));
+        auto p = PartitionTableOp(*r, "A", "B", split.column, CompareOp::kLt,
+                                  pivot, nullptr, &ctx);
+        ASSERT_TRUE(p.ok()) << p.status().ToString();
+        ExpectTablesIdentical(*ref_part->matching, *p->matching,
+                              label + " partition matching @" +
+                                  std::to_string(threads));
+        ExpectTablesIdentical(*ref_part->rest, *p->rest,
+                              label + " partition rest @" +
+                                  std::to_string(threads));
+        // Splitting and re-concatenating every bitmap is lossless.
+        auto back = UnionTablesOp(*p->matching, *p->rest, "U2", nullptr, &ctx);
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        EXPECT_EQ((*back)->rows(), rows) << label;
+        EXPECT_TRUE((*back)->ValidateInvariants().ok()) << label;
+      }
+    }
   }
 }
 

@@ -97,6 +97,30 @@ TEST(WahPositionFilter, MatchesStreamingFilter) {
   EXPECT_EQ(filter.Filter(src), WahFilterPositions(src, positions));
 }
 
+TEST(WahPositionFilter, SelectionBuiltMatchesPositionsBuilt) {
+  for (uint64_t size : {0, 1, 63, 64, 65, 127, 4095, 65537}) {
+    for (double density : {0.0, 0.01, 0.5, 1.0}) {
+      Rng rng(size + 17);
+      std::vector<uint64_t> positions;
+      for (uint64_t i = 0; i < size; ++i) {
+        // A clustered stretch exercises the selection's 1-fills.
+        bool clustered = i >= size / 3 && i < size / 3 + 200;
+        if (clustered || rng.NextBool(density)) positions.push_back(i);
+      }
+      WahPositionFilter by_positions(positions, size);
+      WahPositionFilter by_selection(WahBitmap::FromPositions(positions, size));
+      ASSERT_EQ(by_selection.domain(), size);
+      ASSERT_EQ(by_selection.num_positions(), positions.size());
+      for (uint64_t p = 0; p <= size; ++p) {
+        ASSERT_EQ(by_selection.Rank(p), by_positions.Rank(p)) << p;
+        if (p < size) {
+          ASSERT_EQ(by_selection.Contains(p), by_positions.Contains(p)) << p;
+        }
+      }
+    }
+  }
+}
+
 TEST(WahPositionFilter, EmptyPositionList) {
   WahPositionFilter filter({}, 100);
   WahBitmap src = RandomWah(100, 0.5, 7);
