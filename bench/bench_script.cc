@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "plan/script_planner.h"
 
@@ -39,12 +40,14 @@ std::vector<Smo> WideScript(int k) {
   return script;
 }
 
-std::unique_ptr<Catalog> WideCatalog(int k) {
-  auto catalog = std::make_unique<Catalog>();
+std::unique_ptr<SnapshotCatalog> WideCatalog(int k) {
+  Catalog seed;
   for (int i = 0; i < k; ++i) {
-    CODS_CHECK_OK(catalog->AddTable(
+    CODS_CHECK_OK(seed.AddTable(
         bench::CachedR(kDistinct)->WithName("R" + std::to_string(i))));
   }
+  auto catalog = std::make_unique<SnapshotCatalog>();
+  catalog->Reset(seed);
   return catalog;
 }
 
@@ -65,14 +68,16 @@ std::vector<Smo> DiamondScript() {
   return script;
 }
 
-std::unique_ptr<Catalog> DiamondCatalog() {
-  auto catalog = std::make_unique<Catalog>();
-  CODS_CHECK_OK(catalog->AddTable(bench::CachedR(kDistinct)));
+std::unique_ptr<SnapshotCatalog> DiamondCatalog() {
+  Catalog seed;
+  CODS_CHECK_OK(seed.AddTable(bench::CachedR(kDistinct)));
+  auto catalog = std::make_unique<SnapshotCatalog>();
+  catalog->Reset(seed);
   return catalog;
 }
 
 template <typename CatalogFn>
-void RunSerial(benchmark::State& state, const std::vector<Smo>& script,
+void RunApplyAll(benchmark::State& state, const std::vector<Smo>& script,
                CatalogFn&& fresh_catalog) {
   bench::RunMeta meta(state, 1);
   EngineOptions options;
@@ -90,7 +95,7 @@ void RunSerial(benchmark::State& state, const std::vector<Smo>& script,
 }
 
 template <typename CatalogFn>
-void RunPlanned(benchmark::State& state, const std::vector<Smo>& script,
+void RunApplyAllPlanned(benchmark::State& state, const std::vector<Smo>& script,
                 CatalogFn&& fresh_catalog) {
   const int threads = static_cast<int>(state.range(0));
   bench::RunMeta meta(state, ExecContext(threads).num_threads());
@@ -114,21 +119,21 @@ void RunPlanned(benchmark::State& state, const std::vector<Smo>& script,
 }
 
 void BM_Script_WideDecomposeSerial(benchmark::State& state) {
-  RunSerial(state, WideScript(kWideTables),
+  RunApplyAll(state, WideScript(kWideTables),
             [] { return WideCatalog(kWideTables); });
 }
 
 void BM_Script_WideDecomposePlanned(benchmark::State& state) {
-  RunPlanned(state, WideScript(kWideTables),
+  RunApplyAllPlanned(state, WideScript(kWideTables),
              [] { return WideCatalog(kWideTables); });
 }
 
 void BM_Script_DiamondSerial(benchmark::State& state) {
-  RunSerial(state, DiamondScript(), [] { return DiamondCatalog(); });
+  RunApplyAll(state, DiamondScript(), [] { return DiamondCatalog(); });
 }
 
 void BM_Script_DiamondPlanned(benchmark::State& state) {
-  RunPlanned(state, DiamondScript(), [] { return DiamondCatalog(); });
+  RunApplyAllPlanned(state, DiamondScript(), [] { return DiamondCatalog(); });
 }
 
 #define CODS_SCRIPT_BENCH(fn) \

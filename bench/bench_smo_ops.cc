@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 
 namespace cods {
@@ -14,10 +15,14 @@ namespace {
 
 constexpr uint64_t kDistinct = 1000;
 
-// Sets up a fresh catalog holding R for each iteration (outside timing).
-std::unique_ptr<Catalog> FreshCatalog() {
-  auto catalog = std::make_unique<Catalog>();
-  CODS_CHECK_OK(catalog->AddTable(bench::CachedR(kDistinct)));
+// Sets up a fresh catalog serving `tables` for each iteration (outside
+// timing).
+std::unique_ptr<SnapshotCatalog> FreshCatalog(
+    const std::vector<std::shared_ptr<const Table>>& tables) {
+  Catalog seed;
+  for (const auto& table : tables) CODS_CHECK_OK(seed.AddTable(table));
+  auto catalog = std::make_unique<SnapshotCatalog>();
+  catalog->Reset(seed);
   return catalog;
 }
 
@@ -31,7 +36,7 @@ void RunSmo(benchmark::State& state, const Smo& smo, int threads = 0) {
   options.num_threads = threads;
   for (auto _ : state) {
     state.PauseTiming();
-    auto catalog = FreshCatalog();
+    auto catalog = FreshCatalog({bench::CachedR(kDistinct)});
     EvolutionEngine engine(catalog.get(), nullptr, options);
     state.ResumeTiming();
     Status st = engine.Apply(smo);
@@ -65,9 +70,8 @@ void BM_Smo_UnionTables(benchmark::State& state) {
   options.num_threads = threads;
   for (auto _ : state) {
     state.PauseTiming();
-    auto catalog = FreshCatalog();
-    CODS_CHECK_OK(catalog->AddTable(
-        bench::CachedR(kDistinct)->WithName("R2")));
+    auto catalog = FreshCatalog({bench::CachedR(kDistinct),
+                                 bench::CachedR(kDistinct)->WithName("R2")});
     EvolutionEngine engine(catalog.get(), nullptr, options);
     state.ResumeTiming();
     Status st = engine.Apply(Smo::UnionTables("R", "R2", "U"));
@@ -98,10 +102,8 @@ void BM_Smo_MergeTables(benchmark::State& state) {
   const GeneratedPair& pair = bench::CachedPair(kDistinct);
   for (auto _ : state) {
     state.PauseTiming();
-    Catalog catalog;
-    CODS_CHECK_OK(catalog.AddTable(pair.s));
-    CODS_CHECK_OK(catalog.AddTable(pair.t));
-    EvolutionEngine engine(&catalog, nullptr, options);
+    auto catalog = FreshCatalog({pair.s, pair.t});
+    EvolutionEngine engine(catalog.get(), nullptr, options);
     state.ResumeTiming();
     Status st =
         engine.Apply(Smo::MergeTables("S", "T", "R", {kKeyColumn}, {}));

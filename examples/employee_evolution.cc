@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "storage/printer.h"
 #include "storage/scanner.h"
@@ -44,20 +45,25 @@ Value AddressOf(const Value& employee) {
 }  // namespace
 
 int main() {
-  Catalog catalog;
-  CODS_CHECK_OK(catalog.AddTable(InitialEmployeeTable()));
+  Catalog seed;
+  CODS_CHECK_OK(seed.AddTable(InitialEmployeeTable()));
+  SnapshotCatalog catalog;
+  catalog.Reset(seed);
   LoggingObserver status;  // the demo's "Data Evolution Status" pane
   EvolutionEngine engine(&catalog, &status,
                          EngineOptions{.validate_preconditions = true});
+  auto table = [&catalog](const std::string& name) {
+    return catalog.current()->GetTable(name).ValueOrDie();
+  };
 
   std::cout << "== Schema v0: employees and skills ==\n"
-            << FormatTable(*catalog.GetTable("R").ValueOrDie()) << "\n";
+            << FormatTable(*table("R")) << "\n";
 
   // ---- Evolution 1: address information emerges → ADD COLUMN. ----------
   // The demo supports loading per-row data for the new column; here we
   // compute it from the employee attribute.
   {
-    auto r = catalog.GetTable("R").ValueOrDie();
+    auto r = table("R");
     std::vector<Value> addresses;
     TableScanner scanner(*r, {0});
     for (uint64_t row = 0; row < r->rows(); ++row) {
@@ -66,10 +72,14 @@ int main() {
     auto with_addr = AddColumnWithDataOp(
         *r, {"Address", DataType::kString, false}, addresses);
     CODS_CHECK_OK(with_addr.status());
-    catalog.PutTable(with_addr.ValueOrDie());
+    // Data-carrying column loads are not SMOs; they commit through a
+    // staged write transaction.
+    SnapshotCatalog::WriteTxn txn = catalog.BeginWrite();
+    txn.store().PutTable(std::move(with_addr).ValueOrDie());
+    CODS_CHECK_OK(catalog.Commit(std::move(txn)));
   }
   std::cout << "== Schema v1: Address column added ==\n"
-            << FormatTable(*catalog.GetTable("R").ValueOrDie()) << "\n";
+            << FormatTable(*table("R")) << "\n";
 
   // ---- Evolution 2: redundancy spotted → DECOMPOSE (schema 1 → 2). -----
   // Addresses repeat once per skill; decomposing on the FD
@@ -78,8 +88,8 @@ int main() {
       "R", "S", {"Employee", "Skill"}, {"Employee", "Skill"}, "T",
       {"Employee", "Address"}, {"Employee"})));
   std::cout << "\n== Schema v2: decomposed ==\n"
-            << FormatTable(*catalog.GetTable("S").ValueOrDie()) << "\n"
-            << FormatTable(*catalog.GetTable("T").ValueOrDie()) << "\n";
+            << FormatTable(*table("S")) << "\n"
+            << FormatTable(*table("T")) << "\n";
 
   // ---- Evolution 3: workload turns query-heavy → MERGE (schema 2 → 1).
   // Most queries now look up addresses given skills; the join hurts, so
@@ -88,7 +98,7 @@ int main() {
       engine.Apply(Smo::MergeTables("S", "T", "R", {"Employee"}, {})));
   std::cout << "\n== Schema v3: merged back for the query-heavy workload "
                "==\n"
-            << FormatTable(*catalog.GetTable("R").ValueOrDie());
+            << FormatTable(*table("R"));
 
   return EXIT_SUCCESS;
 }

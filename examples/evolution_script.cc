@@ -17,6 +17,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "plan/script_planner.h"
 #include "query/query_engine.h"
@@ -103,20 +104,23 @@ int main(int argc, char** argv) {
     return EXIT_SUCCESS;
   }
 
-  Catalog catalog;
+  Catalog seed;
   CODS_CHECK_OK(
-      catalog.AddTable(CsvToTableInferred(kSampleData, "R").ValueOrDie()));
+      seed.AddTable(CsvToTableInferred(kSampleData, "R").ValueOrDie()));
+  SnapshotCatalog catalog;
+  catalog.Reset(seed);
   LoggingObserver status;
   EvolutionEngine engine(&catalog, &status,
                          EngineOptions{.validate_preconditions = true,
                                        .validate_outputs = true});
-  QueryEngine queries(&catalog);
 
   std::cout << "Executing " << script->size() << " statements...\n";
   for (const Statement& stmt : *script) {
     std::cout << "\n>>> " << stmt.ToString() << "\n";
     if (stmt.kind == Statement::Kind::kQuery) {
-      auto result = queries.Execute(stmt.query);
+      // Each query reads a pinned snapshot of the current root.
+      Snapshot snap = catalog.GetSnapshot();
+      auto result = QueryEngine(snap.store()).Execute(stmt.query);
       if (!result.ok()) {
         std::cerr << "failed: " << result.status().ToString() << "\n";
         return EXIT_FAILURE;
@@ -136,9 +140,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nFinal catalog:\n";
-  for (const std::string& name : catalog.TableNames()) {
-    std::cout << "\n"
-              << FormatTable(*catalog.GetTable(name).ValueOrDie());
+  RootPtr final_root = catalog.current();
+  for (const auto& [name, table] : final_root->tables()) {
+    std::cout << "\n" << FormatTable(*table);
   }
   return EXIT_SUCCESS;
 }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "storage/csv.h"
 #include "storage/printer.h"
@@ -34,9 +35,12 @@ int main() {
                "distinct value):\n"
             << FormatTableStats(**r) << "\n";
 
-  // 2. Put it in a catalog and evolve the schema at the data level.
-  Catalog catalog;
-  CODS_CHECK_OK(catalog.AddTable(*r));
+  // 2. Serve it from a snapshot catalog and evolve the schema at the
+  //    data level. Each SMO commits one atomic root swap.
+  Catalog seed;
+  CODS_CHECK_OK(seed.AddTable(*r));
+  SnapshotCatalog catalog;
+  catalog.Reset(seed);
   LoggingObserver observer;  // prints each data-evolution step
   EvolutionEngine engine(&catalog, &observer);
 
@@ -48,14 +52,16 @@ int main() {
 
   // 3. Inspect the outputs. S reused R's columns untouched; T was built
   //    directly from R's compressed bitmaps.
-  auto s = catalog.GetTable("S").ValueOrDie();
-  auto t = catalog.GetTable("T").ValueOrDie();
+  RootPtr root = catalog.current();
+  auto s = root->GetTable("S").ValueOrDie();
+  auto t = root->GetTable("T").ValueOrDie();
   std::cout << "\n" << FormatTable(*s) << "\n" << FormatTable(*t) << "\n";
 
   // 4. And back: merge S and T into R again (key-foreign key mergence).
   Smo merge = Smo::MergeTables("S", "T", "R", {"Employee"}, {});
   std::cout << "Executing: " << merge.ToString() << "\n";
   CODS_CHECK_OK(engine.Apply(merge));
-  std::cout << "\n" << FormatTable(*catalog.GetTable("R").ValueOrDie());
+  std::cout << "\n"
+            << FormatTable(*catalog.current()->GetTable("R").ValueOrDie());
   return EXIT_SUCCESS;
 }

@@ -15,6 +15,7 @@
 
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "query/query_evolution.h"
 #include "storage/printer.h"
@@ -48,13 +49,17 @@ std::shared_ptr<const Table> BuildSales(uint64_t rows) {
 
 int main(int argc, char** argv) {
   uint64_t rows = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200'000;
-  Catalog catalog;
-  CODS_CHECK_OK(catalog.AddTable(BuildSales(rows)));
+  Catalog seed;
+  CODS_CHECK_OK(seed.AddTable(BuildSales(rows)));
+  SnapshotCatalog catalog;
+  catalog.Reset(seed);
   EvolutionEngine engine(&catalog);
+  auto table = [&catalog](const std::string& name) {
+    return catalog.current()->GetTable(name).ValueOrDie();
+  };
 
   std::cout << "Fact table (" << rows << " rows):\n"
-            << FormatTableStats(*catalog.GetTable("Sales").ValueOrDie())
-            << "\n";
+            << FormatTableStats(*table("Sales")) << "\n";
 
   // ---- Update-heavy phase: normalize (wide → snowflake). ---------------
   Stopwatch watch;
@@ -64,11 +69,8 @@ int main(int argc, char** argv) {
   double split_s = watch.ElapsedSeconds();
   std::cout << "Normalized in " << split_s * 1000 << " ms (CODS data "
             << "level):\n"
-            << "  Facts: "
-            << catalog.GetTable("Facts").ValueOrDie()->rows() << " rows\n"
-            << "  ProductDim: "
-            << catalog.GetTable("ProductDim").ValueOrDie()->rows()
-            << " rows\n\n";
+            << "  Facts: " << table("Facts")->rows() << " rows\n"
+            << "  ProductDim: " << table("ProductDim")->rows() << " rows\n\n";
 
   // ---- Query-heavy phase: denormalize (snowflake → wide). --------------
   watch.Reset();
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
             << " ms (key-FK mergence).\n\n";
 
   // ---- What would the query-level approach have cost? ------------------
-  auto sales = catalog.GetTable("Sales").ValueOrDie();
+  auto sales = table("Sales");
   DecomposeSpec spec;
   spec.s_columns = {"OrderId", "Product", "Region", "Amount"};
   spec.s_key = {"OrderId"};

@@ -1,10 +1,11 @@
-// The snapshot-commit execution core of EvolutionEngine.
+// The commit core of EvolutionEngine, and the one place the engine
+// writes the WAL.
 //
-// EvolutionEngine (evolution/engine.h) declares the SnapshotCatalog
-// constructor and RunSnapshot but evolution sits below concurrency/ in
-// the architecture, so the definitions — which drive the MVCC commit
-// protocol — live here, with the protocol they integrate. They link into
-// the same engine; only the include graph is layered.
+// EvolutionEngine (evolution/engine.h) declares RunScript but
+// evolution sits below concurrency/ in the architecture, so the
+// definition — which drives the MVCC commit protocol — lives here, with
+// the protocol it integrates. It links into the same engine; only the
+// include graph is layered.
 
 #include "common/script_log.h"
 #include "concurrency/snapshot_catalog.h"
@@ -13,38 +14,22 @@
 
 namespace cods {
 
-EvolutionEngine::EvolutionEngine(SnapshotCatalog* snapshots,
-                                 EvolutionObserver* observer,
-                                 EngineOptions options)
-    : catalog_(nullptr),
-      snapshots_(snapshots),
-      observer_(observer),
-      options_(options),
-      exec_ctx_(options.num_threads) {
-  CODS_CHECK(snapshots_ != nullptr);
-}
-
-Status EvolutionEngine::RunSnapshot(const std::vector<Smo>& script,
-                                    TaskGraphStats* stats, bool planned) {
+Status EvolutionEngine::RunScript(std::span<const Smo> script,
+                                  TaskGraphStats* stats, bool planned) {
   if (stats != nullptr) *stats = {};
   if (script.empty()) return Status::OK();
   // Pin the base root and stage the whole script against it; readers
   // keep serving, and nothing here touches the published root.
   RootPtr base = snapshots_->current();
   StagedCatalog staged(base.get());
-  std::vector<std::vector<CatalogEffect>> effects(script.size());
+  std::vector<CatalogEffect> effects;
   size_t applied = 0;
   Status run = StageScript(&staged, script, planned, stats, &effects, &applied);
-
-  std::vector<CatalogEffect> prefix;
-  for (size_t i = 0; i < applied; ++i) {
-    prefix.insert(prefix.end(), effects[i].begin(), effects[i].end());
-  }
-  // In snapshot mode the WAL records the script inside the commit
-  // critical section: after conflict validation (an aborted script
-  // never reaches the log — it had no effect, so replay must not see
-  // it) and strictly before the root swap (readers can only observe
-  // roots whose scripts are fsync-durable).
+  // The WAL records the script inside the commit critical section:
+  // after conflict validation (an aborted script never reaches the log —
+  // it had no effect, so replay must not see it) and strictly before the
+  // root swap (readers can only observe roots whose scripts are
+  // fsync-durable).
   SnapshotCatalog::PreSwapFn pre_swap;
   if (options_.wal != nullptr) {
     pre_swap = [this, &script, applied]() -> Status {
@@ -58,7 +43,7 @@ Status EvolutionEngine::RunSnapshot(const std::vector<Smo>& script,
   }
   // A conflict abort or durability failure outranks the script's own
   // status: the caller must not treat any part of it as applied.
-  CODS_RETURN_NOT_OK(snapshots_->CommitEffects(base, prefix, pre_swap));
+  CODS_RETURN_NOT_OK(snapshots_->CommitEffects(base, effects, pre_swap));
   return run;
 }
 

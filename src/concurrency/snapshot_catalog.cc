@@ -32,12 +32,6 @@ std::vector<std::string> WriteSet(const std::vector<CatalogEffect>& effects) {
 
 }  // namespace
 
-CatalogRoot::CatalogRoot(uint64_t id, const Catalog& catalog) : id_(id) {
-  for (const std::string& name : catalog.TableNames()) {
-    tables_.emplace(name, catalog.GetTable(name).ValueOrDie());
-  }
-}
-
 Result<std::shared_ptr<const Table>> CatalogRoot::GetTable(
     const std::string& name) const {
   auto it = tables_.find(name);
@@ -86,9 +80,7 @@ std::shared_ptr<const Table> CatalogRoot::Lookup(
 }
 
 Catalog MaterializeCatalog(const CatalogRoot& root) {
-  Catalog catalog;
-  for (const auto& [_, table] : root.tables()) catalog.PutTable(table);
-  return catalog;
+  return Catalog(root.tables());
 }
 
 SnapshotCatalog::SnapshotCatalog()
@@ -147,21 +139,13 @@ Status SnapshotCatalog::CommitEffects(const RootPtr& base,
   // Durability before visibility: the root swap happens only after the
   // hook (the WAL commit fsync) succeeds.
   if (pre_swap) CODS_RETURN_NOT_OK(pre_swap());
-  CatalogRoot::TableMap tables;
-  for (const std::string& name : rebased.TableNames()) {
-    tables.emplace(name, rebased.GetTable(name).ValueOrDie());
-  }
-  Publish(std::move(tables));
+  Publish(std::move(rebased).TakeTables());
   return Status::OK();
 }
 
 void SnapshotCatalog::Reset(const Catalog& catalog) {
   std::lock_guard<std::mutex> lock(commit_mu_);
-  CatalogRoot::TableMap tables;
-  for (const std::string& name : catalog.TableNames()) {
-    tables.emplace(name, catalog.GetTable(name).ValueOrDie());
-  }
-  Publish(std::move(tables));
+  Publish(catalog.tables());
 }
 
 void SnapshotCatalog::Publish(CatalogRoot::TableMap tables) {

@@ -54,13 +54,11 @@ namespace cods {
 /// constructor returns, so lock-free concurrent reads are safe.
 class CatalogRoot : public TableStore {
  public:
-  using TableMap = std::map<std::string, std::shared_ptr<const Table>>;
+  using TableMap = Catalog::TableMap;
 
   CatalogRoot() = default;
   CatalogRoot(uint64_t id, TableMap tables)
       : id_(id), tables_(std::move(tables)) {}
-  /// Snapshots `catalog` (O(#tables) pointer copies).
-  CatalogRoot(uint64_t id, const Catalog& catalog);
 
   /// Monotonic publication id: 0 for the initial empty root, then one
   /// per committed root swap.

@@ -9,7 +9,7 @@
 // in a SnapshotCatalog (concurrency/snapshot_catalog.h), each committed
 // version is a RootPtr into the same shared-root graph, and readers pin
 // either with the same Snapshot handle. There is no mutable escape
-// hatch: all mutation flows through the engine's snapshot-commit mode
+// hatch: all mutation flows through the evolution engine's commit
 // or through Apply(), so the atomic root swap is the single choke point
 // every writer crosses.
 

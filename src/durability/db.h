@@ -1,6 +1,7 @@
 // DurableDb: the crash-safe database directory. Ties together the WAL
 // (durability/wal.h), checksummed checkpoints (durability/checkpoint.h)
-// and the evolution engine's log-before-apply mode into one recovery
+// and the evolution engine's snapshot commit (WAL commit fsync inside
+// the commit critical section, before the root swap) into one recovery
 // story:
 //
 //   open  = load last good checkpoint (if any) + replay the WAL suffix
@@ -28,7 +29,7 @@
 // only the catalog image).
 //
 // Concurrent serving: the catalog state lives in the VersionedCatalog's
-// SnapshotCatalog core, and the engine runs in snapshot-commit mode —
+// SnapshotCatalog core, which is the engine's only commit target —
 // reader threads pin roots with GetSnapshot() and query them while
 // ApplyScript commits. The WAL COMMIT fsync runs inside the commit
 // critical section strictly BEFORE the root swap, so a root readers can

@@ -1,18 +1,15 @@
 #include "evolution/engine.h"
 
-#include "common/script_log.h"
-
 namespace cods {
 
-EvolutionEngine::EvolutionEngine(Catalog* catalog,
+EvolutionEngine::EvolutionEngine(SnapshotCatalog* snapshots,
                                  EvolutionObserver* observer,
                                  EngineOptions options)
-    : catalog_(catalog),
-      snapshots_(nullptr),
+    : snapshots_(snapshots),
       observer_(observer),
       options_(options),
       exec_ctx_(options.num_threads) {
-  CODS_CHECK(catalog_ != nullptr);
+  CODS_CHECK(snapshots_ != nullptr);
 }
 
 Status EvolutionEngine::MaybeValidate(const Table& table) {
@@ -22,13 +19,16 @@ Status EvolutionEngine::MaybeValidate(const Table& table) {
 }
 
 Status EvolutionEngine::Apply(const Smo& smo) {
-  if (snapshots_ != nullptr) {
-    return RunSnapshot({smo}, nullptr, /*planned=*/false);
-  }
-  if (options_.wal != nullptr) {
-    return RunLogged({smo}, nullptr, /*planned=*/false);
-  }
-  return ApplyTo(*catalog_, smo, observer_);
+  return RunScript({&smo, 1}, nullptr, /*planned=*/false);
+}
+
+Status EvolutionEngine::ApplyAll(const std::vector<Smo>& script) {
+  return RunScript(script, nullptr, /*planned=*/false);
+}
+
+Status EvolutionEngine::ApplyAllPlanned(const std::vector<Smo>& script,
+                                        TaskGraphStats* stats) {
+  return RunScript(script, stats, /*planned=*/true);
 }
 
 Status EvolutionEngine::ApplyTo(TableStore& store, const Smo& smo,
@@ -42,8 +42,7 @@ Status EvolutionEngine::ApplyTo(TableStore& store, const Smo& smo,
       return store.RenameTable(smo.table, smo.new_name);
     case SmoKind::kCopyTable: {
       CODS_ASSIGN_OR_RETURN(auto src, store.GetTable(smo.table));
-      CODS_ASSIGN_OR_RETURN(auto copy,
-                            CopyTableOp(*src, smo.out1, options_.deep_copy));
+      CODS_ASSIGN_OR_RETURN(auto copy, CopyTableOp(*src, smo.out1));
       return store.AddTable(std::move(copy));
     }
     case SmoKind::kUnionTables:
@@ -60,58 +59,6 @@ Status EvolutionEngine::ApplyTo(TableStore& store, const Smo& smo,
       return ApplyColumnOp(store, smo);
   }
   return Status::NotImplemented("unknown SMO kind");
-}
-
-Status EvolutionEngine::ApplyAll(const std::vector<Smo>& script) {
-  if (snapshots_ != nullptr) {
-    return RunSnapshot(script, nullptr, options_.plan_scripts);
-  }
-  if (options_.wal != nullptr) {
-    return RunLogged(script, nullptr, options_.plan_scripts);
-  }
-  if (options_.plan_scripts) return ApplyAllPlanned(script);
-  return RunSerial(script, nullptr);
-}
-
-Status EvolutionEngine::RunSerial(const std::vector<Smo>& script,
-                                  size_t* applied) {
-  for (const Smo& smo : script) {
-    CODS_RETURN_NOT_OK(
-        ApplyTo(*catalog_, smo, observer_).WithContext(smo.ToString()));
-    if (applied != nullptr) ++*applied;
-  }
-  return Status::OK();
-}
-
-Status EvolutionEngine::RunLogged(const std::vector<Smo>& script,
-                                  TaskGraphStats* stats, bool planned) {
-  if (script.empty()) return Status::OK();
-  ScriptLog& wal = *options_.wal;
-  // Log the whole script before touching the catalog: an I/O failure
-  // here aborts with the catalog untouched, and the torn record tail is
-  // exactly what recovery truncates away.
-  CODS_RETURN_NOT_OK(wal.BeginScript());
-  for (const Smo& smo : script) {
-    CODS_RETURN_NOT_OK(wal.AppendStatement(smo.ToString()));
-  }
-  size_t applied = 0;
-  Status run = planned ? RunPlanned(script, stats, &applied)
-                       : RunSerial(script, &applied);
-  // Commit (append + fsync) even when the script failed mid-way: the
-  // catalog holds the prefix, and the commit's applied count makes
-  // recovery reproduce exactly that prefix. A durability failure
-  // outranks the script's own status — the caller must not treat the
-  // result as acknowledged.
-  CODS_RETURN_NOT_OK(
-      wal.CommitScript(static_cast<uint32_t>(applied)));
-  return run;
-}
-
-Status EvolutionEngine::ApplyAllPlanned(const std::vector<Smo>& script,
-                                        TaskGraphStats* stats) {
-  if (snapshots_ != nullptr) return RunSnapshot(script, stats, true);
-  if (options_.wal != nullptr) return RunLogged(script, stats, true);
-  return RunPlanned(script, stats, nullptr);
 }
 
 Status EvolutionEngine::ApplyCreateTable(TableStore& store, const Smo& smo) {

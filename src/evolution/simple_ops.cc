@@ -42,25 +42,8 @@ std::shared_ptr<const Table> ReencodeRleToWah(const Table& table) {
 }
 
 Result<std::shared_ptr<const Table>> CopyTableOp(const Table& src,
-                                                 const std::string& name,
-                                                 bool deep) {
-  if (!deep) {
-    return src.WithName(name);
-  }
-  // Deep copy: physically duplicate every bitmap's words by value.
-  std::vector<std::shared_ptr<const Column>> cols;
-  for (size_t i = 0; i < src.num_columns(); ++i) {
-    const Column& c = *src.column(i);
-    if (c.encoding() == ColumnEncoding::kWahBitmap) {
-      std::vector<ValueBitmap> copies = c.bitmaps();  // value copy
-      cols.push_back(Column::FromValueBitmaps(c.type(), c.dict(),
-                                              std::move(copies), c.rows()));
-    } else {
-      cols.push_back(Column::FromVidsRle(c.type(), c.dict(),
-                                         c.DecodeVids()));
-    }
-  }
-  return Table::Make(name, src.schema(), std::move(cols), src.rows());
+                                                 const std::string& name) {
+  return src.WithName(name);
 }
 
 Result<std::shared_ptr<const Table>> UnionTablesOp(

@@ -28,12 +28,10 @@ Result<std::shared_ptr<const Table>> MakeEmptyTable(const std::string& name,
 /// accept tables with sorted (RLE) columns transparently.
 std::shared_ptr<const Table> ReencodeRleToWah(const Table& table);
 
-/// Copies `src` under a new name. With `deep` the bitmap storage is
-/// physically duplicated (real data movement); otherwise the immutable
-/// columns are shared, making the copy O(#columns).
+/// Copies `src` under a new name. The immutable columns are shared, so
+/// the copy is O(#columns).
 Result<std::shared_ptr<const Table>> CopyTableOp(const Table& src,
-                                                 const std::string& name,
-                                                 bool deep = false);
+                                                 const std::string& name);
 
 /// UNION TABLES: concatenates the tuples of `a` and `b` (same layout)
 /// into one table. Per value, the output bitmap is a's bitmap followed

@@ -1,6 +1,6 @@
 // Schema Modification Operators (Table 1 of the paper, after the PRISM
 // workbench): the user-facing description of a schema update. The
-// EvolutionEngine interprets these against a Catalog, performing
+// EvolutionEngine interprets these against a SnapshotCatalog, performing
 // data-level data evolution.
 
 #ifndef CODS_EVOLUTION_SMO_H_
@@ -9,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "common/compare.h"  // CompareOp lives in common/ (back-compat: it
-                             // was declared here before the query layer
-                             // also needed it)
+#include "common/compare.h"  // Smo::compare_op (PARTITION's predicate)
 #include "storage/schema.h"
 #include "storage/value.h"
 

@@ -1,10 +1,13 @@
-// The planned execution core of EvolutionEngine.
+// The staging core of EvolutionEngine.
 //
-// EvolutionEngine (evolution/engine.h) declares RunPlanned and
-// StageScript but evolution sits below plan/ in the architecture, so the
-// definitions — which need the script planner and the staged-catalog
-// overlay — live here, in the layer that owns those types. They link
-// into the same engine; only the include graph is layered.
+// EvolutionEngine (evolution/engine.h) declares StageScript but
+// evolution sits below plan/ in the architecture, so the definition —
+// which needs the script planner and the staged-catalog overlay — lives
+// here, in the layer that owns those types. It links into the same
+// engine; only the include graph is layered.
+
+#include <cstddef>
+#include <iterator>
 
 #include "evolution/engine.h"
 #include "evolution/observer.h"
@@ -14,30 +17,37 @@
 namespace cods {
 
 Status EvolutionEngine::StageScript(
-    StagedCatalog* staged, const std::vector<Smo>& script, bool planned,
-    TaskGraphStats* stats, std::vector<std::vector<CatalogEffect>>* effects,
+    StagedCatalog* staged, std::span<const Smo> script, bool planned,
+    TaskGraphStats* stats, std::vector<CatalogEffect>* effects,
     size_t* applied) {
   const size_t n = script.size();
   *applied = 0;
 
   if (!planned) {
-    // Serial staging: one operator at a time against the overlay, same
-    // order and context strings as RunSerial.
+    // Serial staging: one operator at a time against the overlay, all
+    // appending to one log; a failing operator's partial effects are
+    // cut off, and its error carries its statement text.
     for (size_t i = 0; i < n; ++i) {
-      StagedCatalog::View view = staged->MakeView(&(*effects)[i]);
-      Status st = ApplyTo(view, script[i], observer_)
-                      .WithContext(script[i].ToString());
-      if (!st.ok()) return st;
+      const size_t mark = effects->size();
+      StagedCatalog::View view = staged->MakeView(effects);
+      Status st = ApplyTo(view, script[i], observer_);
+      if (!st.ok()) {
+        effects->erase(effects->begin() + static_cast<std::ptrdiff_t>(mark),
+                       effects->end());
+        return st.WithContext(script[i].ToString());
+      }
       ++*applied;
     }
     return Status::OK();
   }
 
+  // Planned tasks run concurrently, so each records into its own log.
   ScriptPlan plan = PlanScript(script);
+  std::vector<std::vector<CatalogEffect>> logs(n);
   std::vector<StagedCatalog::View> views;
   views.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    views.push_back(staged->MakeView(&(*effects)[i]));
+    views.push_back(staged->MakeView(&logs[i]));
   }
 
   // Observers written for serial execution must not see concurrent
@@ -49,9 +59,10 @@ Status EvolutionEngine::StageScript(
   for (size_t i = 0; i < n; ++i) {
     graph.AddTask(
         [this, &views, &script, observer, i]() -> Status {
-          // Same context string as the serial ApplyAll loop attaches.
-          return ApplyTo(views[i], script[i], observer)
-              .WithContext(script[i].ToString());
+          // Same context string as serial staging attaches.
+          Status st = ApplyTo(views[i], script[i], observer);
+          if (!st.ok()) return st.WithContext(script[i].ToString());
+          return st;
         },
         SmoKindToString(script[i].kind));
   }
@@ -79,28 +90,11 @@ Status EvolutionEngine::StageScript(
   for (size_t i = 0; i < n; ++i) {
     const Status& st = graph.task_status(static_cast<int>(i));
     if (!st.ok()) return st;
+    effects->insert(effects->end(), std::make_move_iterator(logs[i].begin()),
+                    std::make_move_iterator(logs[i].end()));
     ++*applied;
   }
   return Status::OK();
-}
-
-Status EvolutionEngine::RunPlanned(const std::vector<Smo>& script,
-                                   TaskGraphStats* stats, size_t* applied) {
-  if (stats != nullptr) *stats = {};
-  if (script.empty()) return Status::OK();
-  StagedCatalog staged(catalog_);
-  std::vector<std::vector<CatalogEffect>> effects(script.size());
-  size_t prefix = 0;
-  Status run =
-      StageScript(&staged, script, /*planned=*/true, stats, &effects, &prefix);
-  // Commit the staged effects of the applied prefix in script order.
-  for (size_t i = 0; i < prefix; ++i) {
-    for (const CatalogEffect& effect : effects[i]) {
-      CODS_RETURN_NOT_OK(ApplyEffect(effect, catalog_));
-    }
-    if (applied != nullptr) ++*applied;
-  }
-  return run;
 }
 
 }  // namespace cods

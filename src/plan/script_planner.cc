@@ -34,7 +34,7 @@ bool Conflicts(const PlannedTask& a, const PlannedTask& b) {
 
 }  // namespace
 
-ScriptPlan PlanScript(const std::vector<Smo>& script) {
+ScriptPlan PlanScript(std::span<const Smo> script) {
   ScriptPlan plan;
   const size_t n = script.size();
   plan.tasks.resize(n);

@@ -16,6 +16,7 @@
 #define CODS_PLAN_SCRIPT_PLANNER_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,7 @@ struct ScriptPlan {
 };
 
 /// Builds the plan. Pure analysis — never fails, touches no catalog.
-ScriptPlan PlanScript(const std::vector<Smo>& script);
+ScriptPlan PlanScript(std::span<const Smo> script);
 
 /// EXPLAIN-style rendering: one line per operator with its read/write
 /// sets and dependencies, grouped into parallel stages.

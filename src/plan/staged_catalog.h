@@ -1,13 +1,13 @@
-// Staged catalog state for planned script execution. Tasks of a script
-// plan run concurrently, so their catalog effects must not touch the
-// real Catalog until the whole script's fate is known; instead each
-// task mutates a shared, thread-safe overlay (so downstream tasks see
-// upstream outputs) while privately recording an effect log. After the
-// task graph finishes, the engine replays the logs onto the real
-// catalog in SCRIPT order — committing exactly the prefix of operators
-// that serial ApplyAll would have committed, so the final catalog is
-// bit-identical to serial execution in both the success and the
-// first-failure case.
+// Staged catalog state for script execution. A script's catalog effects
+// must not become visible until the whole script's fate is known, and
+// the tasks of a planned script run concurrently; so each operator
+// mutates a shared, thread-safe overlay over the script's pinned base
+// (downstream operators see upstream outputs) while privately recording
+// an effect log. When staging finishes, the engine commits the logs of
+// the applied prefix in SCRIPT order (SnapshotCatalog::CommitEffects) —
+// exactly the operators serial staging would have applied, so the
+// committed root is bit-identical to serial execution in both the
+// success and the first-failure case.
 //
 // Error-message parity: every overlay operation reproduces Catalog's
 // semantics and message text exactly (KeyError "no table named '...'",
@@ -27,7 +27,7 @@
 
 namespace cods {
 
-/// One recorded catalog mutation, replayable onto a real Catalog.
+/// One recorded catalog mutation, replayable onto any TableStore.
 struct CatalogEffect {
   enum class Kind { kAdd, kPut, kDrop, kRename };
   Kind kind = Kind::kPut;
@@ -39,8 +39,8 @@ struct CatalogEffect {
 /// Replays one effect onto `store` with the matching TableStore call.
 Status ApplyEffect(const CatalogEffect& effect, TableStore* store);
 
-/// A mutable overlay over an immutable base store (a Catalog, or a
-/// pinned CatalogRoot in snapshot-commit mode). Thread-safe: the
+/// A mutable overlay over an immutable base store (in the engine, the
+/// pinned CatalogRoot a script stages against). Thread-safe: the
 /// script planner orders conflicting tasks, but independent tasks touch
 /// the shared name map concurrently. Obtain per-task TableStore handles
 /// with MakeView; each view appends the mutations it performs to its

@@ -178,8 +178,8 @@ class QueryEngine {
 
   // ---- Table-level entry points ------------------------------------------
   //
-  // Execute() resolves the table(s) and dispatches here; the legacy
-  // column_select.h shims call these directly with a table in hand.
+  // Execute() resolves the table(s) and dispatches here; callers with a
+  // table already in hand call these directly.
 
   /// SELECT <columns> FROM table WHERE where. Null `where` selects all
   /// rows; empty `columns` projects all. A column listed twice (after
@@ -199,8 +199,8 @@ class QueryEngine {
   /// SELECT group_by, <aggregates> FROM table WHERE where GROUP BY
   /// group_by. Results are in dictionary (first-appearance) order of
   /// the group column. Without a WHERE every distinct value gets an
-  /// entry (zero-count dictionary values included, as GroupByCount
-  /// does; their MIN/MAX/AVG are NULL); with a WHERE, groups left
+  /// entry (zero-count dictionary values included; their MIN/MAX/AVG
+  /// are NULL); with a WHERE, groups left
   /// without qualifying rows are omitted (SQL GROUP BY semantics).
   static Result<std::vector<GroupRow>> GroupByRows(
       const Table& table, const std::string& group_by,

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "rowstore/btree_index.h"
-#include "rowstore/hash_index.h"
 #include "rowstore/row_table.h"
 #include "storage/table.h"
 

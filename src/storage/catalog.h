@@ -16,9 +16,9 @@
 namespace cods {
 
 /// The name → table operations an SMO interpreter needs. The evolution
-/// engine executes against this interface, so the same operator code
-/// runs both directly on a Catalog and on a staged overlay (see
-/// plan/staged_catalog.h) whose effects commit later.
+/// engine executes against a staged overlay of this interface (see
+/// plan/staged_catalog.h) whose effects commit later; queries read any
+/// implementation (a Catalog, a published root, an overlay view).
 class TableStore {
  public:
   virtual ~TableStore() = default;
@@ -47,7 +47,11 @@ class TableStore {
 /// Name → table mapping with Status-returning mutations.
 class Catalog : public TableStore {
  public:
+  using TableMap = std::map<std::string, std::shared_ptr<const Table>>;
+
   Catalog() = default;
+  /// Adopts a name → table map whose keys match the tables' names.
+  explicit Catalog(TableMap tables) : tables_(std::move(tables)) {}
 
   // Catalogs own the authoritative table map; copying one would silently
   // fork the database, so forbid it (move is fine).
@@ -68,9 +72,12 @@ class Catalog : public TableStore {
   std::vector<std::string> TableNames() const;
 
   size_t size() const { return tables_.size(); }
+  const TableMap& tables() const { return tables_; }
+  /// Moves the map out of an expiring catalog.
+  TableMap TakeTables() && { return std::move(tables_); }
 
  private:
-  std::map<std::string, std::shared_ptr<const Table>> tables_;
+  TableMap tables_;
 };
 
 }  // namespace cods

@@ -2,6 +2,7 @@
 // through the script parser and engine, cross-engine equivalence between
 // CODS and every query-level baseline, and multi-step evolution chains.
 
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "gtest/gtest.h"
 #include "query/query_evolution.h"
@@ -13,15 +14,16 @@
 namespace cods {
 namespace {
 
+using ::cods::testing::CatalogOf;
 using ::cods::testing::ExpectSameContent;
 using ::cods::testing::Figure1TableR;
 using ::cods::testing::SortedRows;
 
 TEST(Integration, Figure1ScriptedEvolution) {
   // The full demo flow: load data, run a script, inspect results.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
-  EvolutionEngine engine(&catalog, nullptr,
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({Figure1TableR()}));
+  EvolutionEngine engine(&serving, nullptr,
                          EngineOptions{.validate_preconditions = true,
                                        .validate_outputs = true});
 
@@ -34,16 +36,16 @@ TEST(Integration, Figure1ScriptedEvolution) {
   ASSERT_TRUE(engine.ApplyAll(script).ok());
 
   // The round trip reproduces the original tuples.
-  auto r2 = catalog.GetTable("R2").ValueOrDie();
-  ExpectSameContent(*catalog.GetTable("R_backup").ValueOrDie(), *r2);
+  auto r2 = serving.current()->GetTable("R2").ValueOrDie();
+  ExpectSameContent(*serving.current()->GetTable("R_backup").ValueOrDie(), *r2);
 }
 
 TEST(Integration, SchemaChangeBackAndForthKeepsData) {
   // schema1 -> schema2 -> schema1 (the scenario of §1): repeated
   // decompose/merge cycles must be lossless.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
-  EvolutionEngine engine(&catalog);
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({Figure1TableR()}));
+  EvolutionEngine engine(&serving);
   for (int cycle = 0; cycle < 3; ++cycle) {
     ASSERT_TRUE(engine
                     .Apply(Smo::DecomposeTable(
@@ -56,7 +58,8 @@ TEST(Integration, SchemaChangeBackAndForthKeepsData) {
             .ok())
         << cycle;
   }
-  ExpectSameContent(*Figure1TableR(), *catalog.GetTable("R").ValueOrDie());
+  ExpectSameContent(*Figure1TableR(),
+                    *serving.current()->GetTable("R").ValueOrDie());
 }
 
 TEST(Integration, CodsMatchesEveryBaselineOnRandomData) {
@@ -66,15 +69,15 @@ TEST(Integration, CodsMatchesEveryBaselineOnRandomData) {
   auto r = GenerateEvolutionTable(spec).ValueOrDie();
 
   // CODS data-level path.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(r).ok());
-  EvolutionEngine engine(&catalog);
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({r}));
+  EvolutionEngine engine(&serving);
   ASSERT_TRUE(engine
                   .Apply(Smo::DecomposeTable("R", "S", {"K", "V"}, {}, "T",
                                              {"K", "P"}, {"K"}))
                   .ok());
-  auto cods_s = catalog.GetTable("S").ValueOrDie();
-  auto cods_t = catalog.GetTable("T").ValueOrDie();
+  auto cods_s = serving.current()->GetTable("S").ValueOrDie();
+  auto cods_t = serving.current()->GetTable("T").ValueOrDie();
 
   DecomposeSpec spec2;
   spec2.s_columns = {"K", "V"};
@@ -104,7 +107,7 @@ TEST(Integration, CodsMatchesEveryBaselineOnRandomData) {
   // And the merge direction.
   ASSERT_TRUE(
       engine.Apply(Smo::MergeTables("S", "T", "R", {"K"}, {})).ok());
-  auto cods_r = catalog.GetTable("R").ValueOrDie();
+  auto cods_r = serving.current()->GetTable("R").ValueOrDie();
   ExpectSameContent(*r, *cods_r);
 }
 
@@ -116,15 +119,15 @@ TEST(Integration, CsvInOutAroundTheEngine) {
       "Jones,Shorthand,425 Grant Ave\n"
       "Ellis,Alchemy,747 Industrial Way\n";
   auto r = CsvToTableInferred(csv, "R").ValueOrDie();
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(r).ok());
-  EvolutionEngine engine(&catalog);
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({r}));
+  EvolutionEngine engine(&serving);
   ASSERT_TRUE(engine
                   .Apply(Smo::DecomposeTable(
                       "R", "S", {"Employee", "Skill"}, {}, "T",
                       {"Employee", "Address"}, {"Employee"}))
                   .ok());
-  auto t = catalog.GetTable("T").ValueOrDie();
+  auto t = serving.current()->GetTable("T").ValueOrDie();
   std::string out_csv = TableToCsv(*t);
   EXPECT_NE(out_csv.find("Jones,425 Grant Ave"), std::string::npos);
   EXPECT_NE(out_csv.find("Ellis,747 Industrial Way"), std::string::npos);
@@ -137,9 +140,9 @@ TEST(Integration, LongOperatorChain) {
   // A workload-change story: add a column, partition by it, evolve each
   // part, reunite, and clean up — exercising every operator family in
   // one chain with invariant validation on.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
-  EvolutionEngine engine(&catalog, nullptr,
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({Figure1TableR()}));
+  EvolutionEngine engine(&serving, nullptr,
                          EngineOptions{.validate_outputs = true});
   auto script = ParseSmoScript(
                     "ADD COLUMN Grade INT64 TO R DEFAULT 1;\n"
@@ -152,9 +155,10 @@ TEST(Integration, LongOperatorChain) {
                     "DROP TABLE R;\n")
                     .ValueOrDie();
   ASSERT_TRUE(engine.ApplyAll(script).ok());
-  auto final_table = catalog.GetTable("Final").ValueOrDie();
+  auto final_table = serving.current()->GetTable("Final").ValueOrDie();
   EXPECT_EQ(SortedRows(*final_table), SortedRows(*Figure1TableR()));
-  EXPECT_EQ(catalog.TableNames(), (std::vector<std::string>{"Final"}));
+  EXPECT_EQ(serving.current()->TableNames(),
+            (std::vector<std::string>{"Final"}));
 }
 
 TEST(Integration, GeneralMergeAcrossEnginesOnSkewedData) {
@@ -177,10 +181,10 @@ TEST(Integration, GeneralMergeAcrossEnginesOnSkewedData) {
 TEST(Integration, EvolutionStatusNarratesTheDemoFlow) {
   // §3's "Tracking Data Evolution Status": the observer must see the
   // data-level steps in order, with detail strings.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({Figure1TableR()}));
   RecordingObserver observer;
-  EvolutionEngine engine(&catalog, &observer);
+  EvolutionEngine engine(&serving, &observer);
   ASSERT_TRUE(engine
                   .Apply(Smo::DecomposeTable(
                       "R", "S", {"Employee", "Skill"}, {}, "T",

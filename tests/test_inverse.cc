@@ -3,6 +3,7 @@
 
 #include "evolution/inverse.h"
 
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -10,6 +11,7 @@
 namespace cods {
 namespace {
 
+using ::cods::testing::CatalogOf;
 using ::cods::testing::ExpectSameContent;
 using ::cods::testing::Figure1TableR;
 using ::cods::testing::SortedRows;
@@ -70,16 +72,16 @@ TEST(Inverse, SimpleInverses) {
 
 TEST(Inverse, MergeInverseReadsPreStateSchemas) {
   // Build S and T, then invert a MERGE before applying it.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
-  EvolutionEngine engine(&catalog);
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({Figure1TableR()}));
+  EvolutionEngine engine(&serving);
   ASSERT_TRUE(engine
                   .Apply(Smo::DecomposeTable(
                       "R", "S", {"Employee", "Skill"}, {}, "T",
                       {"Employee", "Address"}, {"Employee"}))
                   .ok());
   Smo merge = Smo::MergeTables("S", "T", "R", {"Employee"}, {});
-  Smo inv = InvertSmo(merge, catalog).ValueOrDie();
+  Smo inv = InvertSmo(merge, *serving.current()).ValueOrDie();
   EXPECT_EQ(inv.kind, SmoKind::kDecomposeTable);
   EXPECT_EQ(inv.table, "R");
   EXPECT_EQ(inv.out1, "S");
@@ -92,35 +94,38 @@ TEST(Inverse, MergeInverseReadsPreStateSchemas) {
 class UndoRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(catalog_.AddTable(Figure1TableR()).ok());
-    engine_ = std::make_unique<EvolutionEngine>(&catalog_);
+    serving_.Reset(CatalogOf({Figure1TableR()}));
+    engine_ = std::make_unique<EvolutionEngine>(&serving_);
   }
 
+  // The currently published root.
+  RootPtr root() const { return serving_.current(); }
+
   void ApplyAndUndo(const Smo& smo) {
-    Smo inverse = InvertSmo(smo, catalog_).ValueOrDie();
+    Smo inverse = InvertSmo(smo, *root()).ValueOrDie();
     ASSERT_TRUE(engine_->Apply(smo).ok()) << smo.ToString();
     ASSERT_TRUE(engine_->Apply(inverse).ok()) << inverse.ToString();
   }
 
-  Catalog catalog_;
+  SnapshotCatalog serving_;
   std::unique_ptr<EvolutionEngine> engine_;
 };
 
 TEST_F(UndoRoundTrip, RenameTable) {
   ApplyAndUndo(Smo::RenameTable("R", "R2"));
-  ExpectSameContent(*Figure1TableR(), *catalog_.GetTable("R").ValueOrDie());
+  ExpectSameContent(*Figure1TableR(), *root()->GetTable("R").ValueOrDie());
 }
 
 TEST_F(UndoRoundTrip, CopyTable) {
   ApplyAndUndo(Smo::CopyTable("R", "Backup"));
-  EXPECT_FALSE(catalog_.HasTable("Backup"));
+  EXPECT_FALSE(root()->HasTable("Backup"));
 }
 
 TEST_F(UndoRoundTrip, Partition) {
   ApplyAndUndo(Smo::PartitionTable("R", "A", "B", "Address",
                                    CompareOp::kEq,
                                    Value("425 Grant Ave")));
-  EXPECT_EQ(SortedRows(*catalog_.GetTable("R").ValueOrDie()),
+  EXPECT_EQ(SortedRows(*root()->GetTable("R").ValueOrDie()),
             SortedRows(*Figure1TableR()));
 }
 
@@ -129,27 +134,27 @@ TEST_F(UndoRoundTrip, DecomposeThenUndoMerges) {
                                    "T", {"Employee", "Address"},
                                    {"Employee"}));
   ExpectSameContent(*Figure1TableR(),
-                    *catalog_.GetTable("R").ValueOrDie());
-  EXPECT_FALSE(catalog_.HasTable("S"));
-  EXPECT_FALSE(catalog_.HasTable("T"));
+                    *root()->GetTable("R").ValueOrDie());
+  EXPECT_FALSE(root()->HasTable("S"));
+  EXPECT_FALSE(root()->HasTable("T"));
 }
 
 TEST_F(UndoRoundTrip, AddColumn) {
   ApplyAndUndo(Smo::AddColumn("R", {"g", DataType::kInt64, false},
                               Value(int64_t{9})));
-  EXPECT_EQ(catalog_.GetTable("R").ValueOrDie()->num_columns(), 3u);
+  EXPECT_EQ(root()->GetTable("R").ValueOrDie()->num_columns(), 3u);
 }
 
 TEST_F(UndoRoundTrip, RenameColumn) {
   ApplyAndUndo(Smo::RenameColumn("R", "Skill", "Ability"));
   EXPECT_TRUE(
-      catalog_.GetTable("R").ValueOrDie()->schema().HasColumn("Skill"));
+      root()->GetTable("R").ValueOrDie()->schema().HasColumn("Skill"));
 }
 
 TEST(EvolutionLog, RecordsAndUndoesAScript) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
-  EvolutionEngine engine(&catalog);
+  SnapshotCatalog serving;
+  serving.Reset(CatalogOf({Figure1TableR()}));
+  EvolutionEngine engine(&serving);
   EvolutionLog log;
 
   std::vector<Smo> script = {
@@ -161,7 +166,7 @@ TEST(EvolutionLog, RecordsAndUndoesAScript) {
                      Value(int64_t{0})),
   };
   for (const Smo& smo : script) {
-    ASSERT_TRUE(log.Record(smo, catalog).ok()) << smo.ToString();
+    ASSERT_TRUE(log.Record(smo, *serving.current()).ok()) << smo.ToString();
     ASSERT_TRUE(engine.Apply(smo).ok()) << smo.ToString();
   }
   EXPECT_EQ(log.size(), 4u);
@@ -170,8 +175,9 @@ TEST(EvolutionLog, RecordsAndUndoesAScript) {
   for (const Smo& smo : log.UndoScript()) {
     ASSERT_TRUE(engine.Apply(smo).ok()) << smo.ToString();
   }
-  EXPECT_EQ(catalog.TableNames(), (std::vector<std::string>{"R"}));
-  ExpectSameContent(*Figure1TableR(), *catalog.GetTable("R").ValueOrDie());
+  EXPECT_EQ(serving.current()->TableNames(), (std::vector<std::string>{"R"}));
+  ExpectSameContent(*Figure1TableR(),
+                    *serving.current()->GetTable("R").ValueOrDie());
 }
 
 TEST(EvolutionLog, RefusesLossyOps) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/decompose.h"
 #include "evolution/engine.h"
 #include "evolution/merge.h"
@@ -14,9 +15,9 @@
 #include "exec/exec.h"
 #include "gtest/gtest.h"
 #include "query/column_executor.h"
-#include "query/column_select.h"
 #include "query/join.h"
 #include "query/query_engine.h"
+#include "test_util.h"
 #include "workload/generator.h"
 
 namespace cods {
@@ -170,38 +171,44 @@ TEST(ParallelDeterminismTest, UnionAndPartition) {
 }
 
 TEST(ParallelDeterminismTest, QueryPaths) {
+  // A flat two-leaf predicate through every table-level query path.
   auto r = TestTable();
-  std::vector<ColumnPredicate> preds{
-      ColumnPredicate::Compare(kKeyColumn, CompareOp::kLt,
-                               Value(static_cast<int64_t>(300))),
-      ColumnPredicate::Compare(kPayloadColumn, CompareOp::kGe,
-                               Value(static_cast<int64_t>(20))),
+  std::vector<ExprPtr> leaves{
+      Expr::Compare(kKeyColumn, CompareOp::kLt,
+                    Value(static_cast<int64_t>(300))),
+      Expr::Compare(kPayloadColumn, CompareOp::kGe,
+                    Value(static_cast<int64_t>(20))),
   };
+  const ExprPtr conj_expr = Expr::And(leaves);
+  const ExprPtr disj_expr = Expr::Or(leaves);
   ExecContext serial(1);
-  auto ref_conj = EvalConjunction(*r, preds, &serial);
-  auto ref_disj = EvalDisjunction(*r, preds, &serial);
-  auto ref_count = CountWhere(*r, preds, &serial);
-  auto ref_select = SelectWhere(*r, preds, "sel", &serial);
-  auto ref_group = GroupBySum(*r, kDependentColumn, kPayloadColumn,
-                              &serial);
+  auto ref_conj = EvalExpr(*r, conj_expr, &serial);
+  auto ref_disj = EvalExpr(*r, disj_expr, &serial);
+  auto ref_count = QueryEngine::CountRows(*r, conj_expr, &serial);
+  auto ref_select =
+      QueryEngine::SelectRows(*r, {}, conj_expr, "sel", &serial);
+  auto ref_group = QueryEngine::GroupBySumRows(*r, kDependentColumn,
+                                               kPayloadColumn, nullptr,
+                                               &serial);
   ASSERT_TRUE(ref_conj.ok() && ref_disj.ok() && ref_count.ok() &&
               ref_select.ok() && ref_group.ok());
   for (int threads : kThreadCounts) {
     ExecContext ctx(threads);
-    auto conj = EvalConjunction(*r, preds, &ctx);
+    auto conj = EvalExpr(*r, conj_expr, &ctx);
     ASSERT_TRUE(conj.ok());
     EXPECT_TRUE(*ref_conj == *conj) << "conjunction @" << threads;
-    auto disj = EvalDisjunction(*r, preds, &ctx);
+    auto disj = EvalExpr(*r, disj_expr, &ctx);
     ASSERT_TRUE(disj.ok());
     EXPECT_TRUE(*ref_disj == *disj) << "disjunction @" << threads;
-    auto count = CountWhere(*r, preds, &ctx);
+    auto count = QueryEngine::CountRows(*r, conj_expr, &ctx);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*ref_count, *count) << "count @" << threads;
-    auto sel = SelectWhere(*r, preds, "sel", &ctx);
+    auto sel = QueryEngine::SelectRows(*r, {}, conj_expr, "sel", &ctx);
     ASSERT_TRUE(sel.ok());
     ExpectTablesIdentical(**ref_select, **sel,
                           "select @" + std::to_string(threads));
-    auto group = GroupBySum(*r, kDependentColumn, kPayloadColumn, &ctx);
+    auto group = QueryEngine::GroupBySumRows(*r, kDependentColumn,
+                                             kPayloadColumn, nullptr, &ctx);
     ASSERT_TRUE(group.ok());
     ASSERT_EQ(ref_group->size(), group->size());
     for (size_t i = 0; i < group->size(); ++i) {
@@ -368,18 +375,18 @@ TEST(ParallelDeterminismTest, EngineEndToEndScript) {
   // MERGE back, with validation on (exercising parallel
   // ValidateInvariants on every produced table).
   auto run_with = [&](int threads) -> std::shared_ptr<const Table> {
-    Catalog catalog;
-    CODS_CHECK_OK(catalog.AddTable(TestTable()));
+    SnapshotCatalog serving;
+    serving.Reset(testing::CatalogOf({TestTable()}));
     EngineOptions options;
     options.num_threads = threads;
     options.validate_outputs = true;
-    EvolutionEngine engine(&catalog, nullptr, options);
+    EvolutionEngine engine(&serving, nullptr, options);
     CODS_CHECK_OK(engine.Apply(Smo::DecomposeTable(
         "R", "S", {kKeyColumn, kPayloadColumn}, {}, "T",
         {kKeyColumn, kDependentColumn}, {kKeyColumn})));
     CODS_CHECK_OK(
         engine.Apply(Smo::MergeTables("S", "T", "R", {kKeyColumn}, {})));
-    return catalog.GetTable("R").ValueOrDie();
+    return serving.current()->GetTable("R").ValueOrDie();
   };
   auto reference = run_with(1);
   for (int threads : {2, 8}) {
@@ -395,10 +402,10 @@ TEST(ParallelDeterminismTest, PlannedScriptExecution) {
   // thread count. The script mixes independent DECOMPOSEs (overlap),
   // a partition/union diamond, and schema-only ops.
   auto fresh_catalog = []() {
-    auto catalog = std::make_unique<Catalog>();
-    CODS_CHECK_OK(catalog->AddTable(TestTable()->WithName("R0")));
-    CODS_CHECK_OK(catalog->AddTable(TestTable()->WithName("R1")));
-    return catalog;
+    auto serving = std::make_unique<SnapshotCatalog>();
+    serving->Reset(testing::CatalogOf(
+        {TestTable()->WithName("R0"), TestTable()->WithName("R1")}));
+    return serving;
   };
   std::vector<Smo> script;
   for (int i = 0; i < 2; ++i) {
@@ -429,15 +436,16 @@ TEST(ParallelDeterminismTest, PlannedScriptExecution) {
     EngineOptions options;
     options.num_threads = threads;
     options.validate_outputs = true;
-    options.plan_scripts = true;  // ApplyAll routes through the planner
     EvolutionEngine engine(catalog.get(), nullptr, options);
-    Status st = engine.ApplyAll(script);
+    Status st = engine.ApplyAllPlanned(script);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    ASSERT_EQ(serial_catalog->TableNames(), catalog->TableNames())
+    const Catalog expected = MaterializeCatalog(*serial_catalog->current());
+    const Catalog actual = MaterializeCatalog(*catalog->current());
+    ASSERT_EQ(expected.TableNames(), actual.TableNames())
         << "planned script @" << threads;
-    for (const std::string& name : serial_catalog->TableNames()) {
-      ExpectTablesIdentical(*serial_catalog->GetTable(name).ValueOrDie(),
-                            *catalog->GetTable(name).ValueOrDie(),
+    for (const std::string& name : expected.TableNames()) {
+      ExpectTablesIdentical(*expected.GetTable(name).ValueOrDie(),
+                            *actual.GetTable(name).ValueOrDie(),
                             "planned script table " + name + " @" +
                                 std::to_string(threads));
     }

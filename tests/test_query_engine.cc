@@ -10,7 +10,9 @@
 #include "gtest/gtest.h"
 #include "plan/staged_catalog.h"
 #include "query/join.h"
+#include "storage/value_compare.h"
 #include "test_util.h"
+#include "workload/generator.h"
 
 namespace cods {
 namespace {
@@ -37,6 +39,56 @@ TEST(QueryEngine, CountAgainstCatalog) {
   EXPECT_EQ(result->count, 3u);
   // Null WHERE counts everything without touching bitmaps.
   EXPECT_EQ(engine.Execute(QueryRequest::Count("R")).ValueOrDie().count, 7u);
+  // A conjunction narrows to one row (Harrison); one more leaf on a value
+  // absent from the dictionary empties it.
+  std::vector<ExprPtr> leaves = {
+      Expr::Compare("Address", CompareOp::kEq, Value("425 Grant Ave")),
+      Expr::Compare("Skill", CompareOp::kEq, Value("Light Cleaning"))};
+  EXPECT_EQ(engine.Execute(QueryRequest::Count("R", Expr::And(leaves)))
+                .ValueOrDie()
+                .count,
+            1u);
+  leaves.push_back(
+      Expr::Compare("Employee", CompareOp::kEq, Value("Nobody")));
+  EXPECT_EQ(engine.Execute(QueryRequest::Count("R", Expr::And(leaves)))
+                .ValueOrDie()
+                .count,
+            0u);
+}
+
+TEST(QueryEngine, CountOfOneComparisonAgreesWithNaiveScan) {
+  // Single-leaf COUNTs (the O(1) per-value-count path) against a
+  // row-at-a-time oracle, pivots inside and outside the key domain.
+  struct Grid {
+    uint64_t rows;
+    uint64_t distinct;
+    int64_t pivot;
+  };
+  for (const Grid& g : {Grid{100, 10, 5}, Grid{1000, 50, 25},
+                        Grid{5000, 500, 100}, Grid{5000, 500, -1},
+                        Grid{5000, 500, 10000}}) {
+    WorkloadSpec spec;
+    spec.num_rows = g.rows;
+    spec.num_distinct = g.distinct;
+    Catalog catalog;
+    CODS_CHECK_OK(catalog.AddTable(GenerateEvolutionTable(spec).ValueOrDie()));
+    QueryEngine engine(&catalog);
+    const std::vector<Row> rows =
+        catalog.GetTable("R").ValueOrDie()->Materialize();
+    for (CompareOp op : {CompareOp::kEq, CompareOp::kLt, CompareOp::kGe,
+                         CompareOp::kNe}) {
+      auto count = engine.Execute(QueryRequest::Count(
+          "R", Expr::Compare(kKeyColumn, op, Value(g.pivot))));
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      uint64_t naive = 0;
+      for (const Row& row : rows) {
+        if (EvalCompare(row[0], op, Value(g.pivot))) ++naive;
+      }
+      EXPECT_EQ(count->count, naive)
+          << g.rows << "/" << g.distinct << " K " << CompareOpToString(op)
+          << " " << g.pivot;
+    }
+  }
 }
 
 TEST(QueryEngine, SelectMaterializesMatchingRows) {
@@ -332,13 +384,15 @@ TEST(QueryEngine, RunsAgainstStagedCatalogView) {
 TEST(QueryEngine, QueryAfterEvolutionSeesNewSchema) {
   // Queries interleave with SMOs against the same catalog: evolve, then
   // query the produced tables through the same store interface.
-  Catalog catalog = MakeCatalogWithR();
-  EvolutionEngine engine(&catalog, nullptr);
+  SnapshotCatalog serving;
+  serving.Reset(MakeCatalogWithR());
+  EvolutionEngine engine(&serving, nullptr);
   Status st = engine.ApplyAll({Smo::DecomposeTable(
       "R", "S", {"Employee", "Skill"}, {}, "T", {"Employee", "Address"},
       {"Employee"})});
   ASSERT_TRUE(st.ok()) << st.ToString();
-  QueryEngine queries(&catalog);
+  Snapshot snap = serving.GetSnapshot();
+  QueryEngine queries(snap.store());
   auto addresses = queries.Execute(QueryRequest::Select(
       "T", {"Address"},
       Expr::Compare("Employee", CompareOp::kEq, Value("Jones")), "addr"));

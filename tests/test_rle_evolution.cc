@@ -7,7 +7,7 @@
 #include "evolution/merge.h"
 #include "evolution/simple_ops.h"
 #include "gtest/gtest.h"
-#include "query/column_select.h"
+#include "query/query_engine.h"
 #include "test_util.h"
 
 namespace cods {
@@ -101,20 +101,28 @@ TEST(RleEvolution, PartitionAndUnionAcceptRleInputs) {
 }
 
 TEST(GroupBy, CountMatchesValueCounts) {
+  // The RLE column's per-value counts, and GROUP BY COUNT(*) over its
+  // bitmap re-encoding (the query engine needs WAH-encoded columns).
   auto r = SortedFdTable(1000, 10);
-  auto groups = GroupByCount(*r, "K").ValueOrDie();
+  const Column& k = *r->column(0);
+  auto groups = QueryEngine::GroupByRows(*AsBitmapTable(*r), "K",
+                                         {AggregateSpec::Count()}, nullptr)
+                    .ValueOrDie();
+  ASSERT_EQ(k.distinct_count(), 10u);
   ASSERT_EQ(groups.size(), 10u);
   uint64_t total = 0;
-  for (const auto& [value, count] : groups) {
-    EXPECT_EQ(count, 100u) << value.ToString();
-    total += count;
+  for (Vid vid = 0; vid < k.distinct_count(); ++vid) {
+    EXPECT_EQ(k.ValueCount(vid), 100u) << vid;
+    EXPECT_EQ(groups[vid], (GroupRow{k.dict().value(vid),
+                                     {Value(int64_t{100})}}));
+    total += k.ValueCount(vid);
   }
   EXPECT_EQ(total, 1000u);
 }
 
 TEST(GroupBy, SumMatchesNaiveAggregation) {
   auto r = testing::RandomFdTable(3000, 30, 5);
-  auto sums = GroupBySum(*r, "K", "V").ValueOrDie();
+  auto sums = QueryEngine::GroupBySumRows(*r, "K", "V", nullptr).ValueOrDie();
   // Naive oracle over materialized rows.
   std::map<Value, double> expected;
   for (const Row& row : r->Materialize()) {
@@ -128,7 +136,9 @@ TEST(GroupBy, SumMatchesNaiveAggregation) {
 
 TEST(GroupBy, SumRejectsStringMeasure) {
   auto r = testing::Figure1TableR();
-  EXPECT_TRUE(GroupBySum(*r, "Employee", "Skill").status().IsTypeError());
+  EXPECT_TRUE(QueryEngine::GroupBySumRows(*r, "Employee", "Skill", nullptr)
+                  .status()
+                  .IsTypeError());
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Tests for the row-store baseline engine: tuple serialization, slotted
-// pages, the heap table, and the hash index.
+// pages, and the heap table.
 
 #include <unordered_set>
 
 #include "gtest/gtest.h"
-#include "rowstore/hash_index.h"
 #include "rowstore/row_table.h"
 #include "test_util.h"
 
@@ -98,36 +97,6 @@ TEST(RowTable, ScanPreservesInsertionOrder) {
   table.Scan([&](RowId, const Row& row) {
     EXPECT_EQ(row[0].int64(), expected++);
   });
-}
-
-TEST(HashIndex, LookupFindsAllDuplicates) {
-  Schema schema({{"k", DataType::kInt64, false},
-                 {"v", DataType::kInt64, false}});
-  RowTable table("t", schema);
-  for (int64_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(table.Insert({Value(i % 10), Value(i)}).ok());
-  }
-  HashIndex index = HashIndex::Build(table, {0});
-  EXPECT_EQ(index.size(), 300u);
-  std::vector<RowId> hits = index.Lookup({Value(int64_t{3})});
-  EXPECT_EQ(hits.size(), 30u);
-  for (RowId rid : hits) {
-    Row row = table.Get(rid).ValueOrDie();
-    EXPECT_EQ(row[0], Value(int64_t{3}));
-  }
-  EXPECT_TRUE(index.Lookup({Value(int64_t{999})}).empty());
-}
-
-TEST(HashIndex, CompositeKeys) {
-  Schema schema({{"a", DataType::kInt64, false},
-                 {"b", DataType::kString, false},
-                 {"c", DataType::kInt64, false}});
-  RowTable table("t", schema);
-  ASSERT_TRUE(table.Insert({Value(int64_t{1}), Value("x"), Value(int64_t{1})}).ok());
-  ASSERT_TRUE(table.Insert({Value(int64_t{1}), Value("y"), Value(int64_t{2})}).ok());
-  HashIndex index = HashIndex::Build(table, {0, 1});
-  EXPECT_EQ(index.Lookup({Value(int64_t{1}), Value("x")}).size(), 1u);
-  EXPECT_EQ(index.Lookup({Value(int64_t{1}), Value("z")}).size(), 0u);
 }
 
 }  // namespace

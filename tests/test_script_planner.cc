@@ -9,15 +9,18 @@
 #include <string>
 #include <vector>
 
+#include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "gtest/gtest.h"
 #include "plan/staged_catalog.h"
 #include "smo/parser.h"
+#include "test_util.h"
 #include "workload/generator.h"
 
 namespace cods {
 namespace {
 
+using ::cods::testing::CatalogOf;
 using Names = std::vector<std::string>;
 
 std::shared_ptr<const Table> SmallTable(const std::string& name) {
@@ -166,11 +169,15 @@ TEST(ScriptPlanner, FormatShowsStagesSetsAndDeps) {
 
 // ---- Planned execution vs serial ApplyAll ---------------------------------
 
-std::unique_ptr<Catalog> TwoTableCatalog() {
-  auto catalog = std::make_unique<Catalog>();
-  CODS_CHECK_OK(catalog->AddTable(SmallTable("R0")));
-  CODS_CHECK_OK(catalog->AddTable(SmallTable("R1")));
-  return catalog;
+std::unique_ptr<SnapshotCatalog> TwoTableCatalog() {
+  auto serving = std::make_unique<SnapshotCatalog>();
+  serving->Reset(CatalogOf({SmallTable("R0"), SmallTable("R1")}));
+  return serving;
+}
+
+// The published root of `serving` as a quiesced Catalog.
+Catalog Materialized(const SnapshotCatalog& serving) {
+  return MaterializeCatalog(*serving.current());
 }
 
 std::vector<Smo> MixedScript() {
@@ -196,7 +203,7 @@ TEST(PlannedExecution, BitIdenticalToSerialApplyAll) {
   EvolutionEngine serial(serial_catalog.get(), nullptr, serial_opts);
   ASSERT_TRUE(serial.ApplyAll(script).ok());
 
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {1, 2, 4, 8}) {
     auto catalog = TwoTableCatalog();
     EngineOptions options;
     options.num_threads = threads;
@@ -205,24 +212,10 @@ TEST(PlannedExecution, BitIdenticalToSerialApplyAll) {
     Status st = engine.ApplyAllPlanned(script, &stats);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(stats.ran, script.size());
-    ExpectCatalogsIdentical(*serial_catalog, *catalog,
+    ExpectCatalogsIdentical(Materialized(*serial_catalog),
+                            Materialized(*catalog),
                             "planned @" + std::to_string(threads));
   }
-}
-
-TEST(PlannedExecution, ApplyAllRoutesThroughPlannerWhenEnabled) {
-  std::vector<Smo> script = MixedScript();
-  auto serial_catalog = TwoTableCatalog();
-  EvolutionEngine serial(serial_catalog.get());
-  ASSERT_TRUE(serial.ApplyAll(script).ok());
-
-  auto catalog = TwoTableCatalog();
-  EngineOptions options;
-  options.plan_scripts = true;
-  options.num_threads = 4;
-  EvolutionEngine engine(catalog.get(), nullptr, options);
-  ASSERT_TRUE(engine.ApplyAll(script).ok());
-  ExpectCatalogsIdentical(*serial_catalog, *catalog, "plan_scripts");
 }
 
 TEST(PlannedExecution, FailureCommitsExactlyTheSerialPrefix) {
@@ -250,8 +243,10 @@ TEST(PlannedExecution, FailureCommitsExactlyTheSerialPrefix) {
     Status st = engine.ApplyAllPlanned(script, &stats);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.ToString(), serial_st.ToString()) << threads;
-    EXPECT_FALSE(catalog->HasTable("C")) << "discarded effect committed";
-    ExpectCatalogsIdentical(*serial_catalog, *catalog,
+    EXPECT_FALSE(catalog->current()->HasTable("C"))
+        << "discarded effect committed";
+    ExpectCatalogsIdentical(Materialized(*serial_catalog),
+                            Materialized(*catalog),
                             "failure prefix @" + std::to_string(threads));
   }
 }
@@ -277,13 +272,13 @@ TEST(PlannedExecution, CreateDropCreateSameNameStaysOrdered) {
       "CREATE TABLE Tmp (x INT64); DROP TABLE Tmp;"
       "CREATE TABLE Tmp (y STRING, KEY(y));");
   for (int threads : {1, 8}) {
-    Catalog catalog;
+    SnapshotCatalog serving;
     EngineOptions options;
     options.num_threads = threads;
-    EvolutionEngine engine(&catalog, nullptr, options);
+    EvolutionEngine engine(&serving, nullptr, options);
     Status st = engine.ApplyAllPlanned(script);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    auto t = catalog.GetTable("Tmp");
+    auto t = serving.current()->GetTable("Tmp");
     ASSERT_TRUE(t.ok());
     EXPECT_EQ(t.ValueOrDie()->schema().column(0).name, "y");
   }

@@ -177,7 +177,7 @@ TEST(CatalogSerde, RejectsBadMagicAndVersion) {
   EXPECT_TRUE(DeserializeCatalog(trailing).status().IsCorruption());
 }
 
-// ---- Failure injection -------------------------------------------------------
+// ---- Failure injection ------------------------------------------------------
 
 TEST(CatalogSerde, EveryTruncationFailsCleanly) {
   Catalog catalog;
@@ -286,9 +286,8 @@ TEST(SerdeAfterEvolution, EvolvedCatalogSurvivesPersistence) {
   // valid tables.
   Catalog catalog;
   ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
-  auto copy = CopyTableOp(*catalog.GetTable("R").ValueOrDie(), "R2",
-                          /*deep=*/false)
-                  .ValueOrDie();
+  auto copy =
+      CopyTableOp(*catalog.GetTable("R").ValueOrDie(), "R2").ValueOrDie();
   ASSERT_TRUE(catalog.AddTable(copy).ok());
   auto dec = CodsDecompose(*catalog.GetTable("R").ValueOrDie(), "S",
                            {"Employee", "Skill"}, {}, "T",

@@ -30,18 +30,10 @@ TEST(SimpleOps, MakeEmptyTable) {
 
 TEST(SimpleOps, ShallowCopySharesColumns) {
   auto r = Figure1TableR();
-  auto copy = CopyTableOp(*r, "R2", /*deep=*/false).ValueOrDie();
+  auto copy = CopyTableOp(*r, "R2").ValueOrDie();
   EXPECT_EQ(copy->name(), "R2");
   EXPECT_EQ(copy->column(0).get(), r->column(0).get());
   ExpectSameContent(*r, *copy);
-}
-
-TEST(SimpleOps, DeepCopyDuplicatesStorage) {
-  auto r = Figure1TableR();
-  auto copy = CopyTableOp(*r, "R2", /*deep=*/true).ValueOrDie();
-  EXPECT_NE(copy->column(0).get(), r->column(0).get());
-  ExpectSameContent(*r, *copy);
-  EXPECT_TRUE(copy->ValidateInvariants().ok());
 }
 
 TEST(Union, ConcatenatesTuplesAndDictionaries) {

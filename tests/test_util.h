@@ -13,9 +13,19 @@
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "rowstore/btree_index.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
 
 namespace cods::testing {
+
+/// A catalog holding `tables` — the seed a test hands to
+/// SnapshotCatalog::Reset before binding an engine.
+inline Catalog CatalogOf(
+    const std::vector<std::shared_ptr<const Table>>& tables) {
+  Catalog catalog;
+  for (const auto& table : tables) CODS_CHECK_OK(catalog.AddTable(table));
+  return catalog;
+}
 
 /// Builds a table from a literal row list. Fails the test on error.
 inline std::shared_ptr<const Table> MakeTable(
