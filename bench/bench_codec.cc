@@ -1,5 +1,5 @@
-// The density-adaptive codec vs the all-WAH path (PR 8's tentpole
-// claim): for each representation pair, pairwise AND/OR/AND-count over
+// The size-adaptive codec vs the all-WAH path: for each representation
+// pair, pairwise AND/OR/AND-count over
 // the same bit content executed through the codec's specialized kernels
 // (BM_Codec*) and through plain WAH merges on the re-encoded interchange
 // form (BM_WahPath*). The committed series document the two regimes the
@@ -16,6 +16,12 @@
 // plain WAH path (same kernel underneath), pinning "no regression in the
 // regime WAH already handled well". BM_CodecSplit / BM_CodecConcat gate
 // the PARTITION and UNION data-movement kernels per input container.
+//
+// Clustered content — what the density stage alone would store as an
+// array, and the size rule stores as WAH fills — has its own series:
+// BM_Run* for one run of kBits/1000 bits, BM_SortedColumn* for every
+// value of a 1M-row column sorted over 1000 values (each value one run
+// of 1000 rows, the shape of a sorted load-date column).
 
 #include <benchmark/benchmark.h>
 
@@ -205,6 +211,129 @@ void BM_CodecConcat(benchmark::State& state) {
   state.counters["rep"] = static_cast<double>(whole.rep());
 }
 
+// ---- Clustered content: one run, and a sorted column ---------------------
+
+constexpr uint64_t kRunBits = kBits / 1000;
+
+// One run of kRunBits set bits straddling the clustered selection's
+// boundary (kBits * 3 / 7), so a split cuts it.
+ValueBitmap MakeRun() {
+  WahBitmap bm;
+  bm.AppendRun(false, kBits * 3 / 7 - kRunBits / 3);
+  bm.AppendRun(true, kRunBits);
+  bm.AppendRun(false, kBits - bm.size());
+  return ValueBitmap::FromWah(std::move(bm));
+}
+
+// |run & b| against b of the density class arg (array / WAH / bitset).
+void BM_RunAndCount(benchmark::State& state) {
+  ValueBitmap a = MakeRun();
+  ValueBitmap b = MakeValue(DensityFromArg(state.range(0)), 9);
+  for (auto _ : state) {
+    uint64_t n = CodecAndCount(a, b);
+    benchmark::DoNotOptimize(n);
+  }
+  PairCounters(state, a, b);
+}
+
+// Selection shapes as in BM_CodecSplit: 0 clustered prefix (the run is
+// cut in two runs), 1 scattered half, 2 scattered ~3%.
+void BM_RunSplit(benchmark::State& state) {
+  ValueBitmap vb = MakeRun();
+  WahPositionFilter filter(MakeSelection(state.range(0)));
+  for (auto _ : state) {
+    std::pair<ValueBitmap, ValueBitmap> sides = CodecSplit(filter, vb);
+    benchmark::DoNotOptimize(sides);
+  }
+  state.counters["rep"] = static_cast<double>(vb.rep());
+}
+
+// The two halves of the clustered split rejoin into one run.
+void BM_RunConcat(benchmark::State& state) {
+  auto [a, b] = CodecSplit(WahPositionFilter(MakeSelection(0)), MakeRun());
+  for (auto _ : state) {
+    ValueBitmap c = CodecConcat(a, b);
+    benchmark::DoNotOptimize(c);
+  }
+  state.counters["rep"] = static_cast<double>(a.rep());
+}
+
+constexpr uint64_t kSortedRows = 1000000;
+constexpr uint64_t kSortedValues = 1000;
+
+std::vector<ValueBitmap> MakeSortedColumn() {
+  std::vector<ValueBitmap> out;
+  const uint64_t run = kSortedRows / kSortedValues;
+  for (uint64_t v = 0; v < kSortedValues; ++v) {
+    WahBitmap bm;
+    bm.AppendRun(false, v * run);
+    bm.AppendRun(true, run);
+    bm.AppendRun(false, kSortedRows - bm.size());
+    out.push_back(ValueBitmap::FromWah(std::move(bm)));
+  }
+  return out;
+}
+
+// A row selection over the sorted column's rows: 0 = clustered prefix
+// (PARTITION on the sorted column itself), 1 = scattered half (PARTITION
+// on an unrelated column).
+WahBitmap MakeSortedSelection(int64_t shape) {
+  WahBitmap sel;
+  if (shape == 0) {
+    sel.AppendRun(true, kSortedRows * 3 / 7);
+  } else {
+    Rng rng(78);
+    for (uint64_t r = 0; r < kSortedRows; ++r) sel.AppendBit(rng.NextBool(0.5));
+  }
+  sel.AppendRun(false, kSortedRows - sel.size());
+  return sel;
+}
+
+// GROUP BY the sorted column WHERE another column = x: every value's
+// |run & selection|, against a scattered mixed-density value (WAH).
+void BM_SortedColumnAndCount(benchmark::State& state) {
+  std::vector<ValueBitmap> column = MakeSortedColumn();
+  Rng rng(79);
+  std::vector<uint32_t> positions;
+  for (uint32_t r = 0; r < kSortedRows; ++r) {
+    if (rng.NextBool(1.0 / 32)) positions.push_back(r);
+  }
+  ValueBitmap other = ValueBitmap::FromPositions(positions, kSortedRows);
+  for (auto _ : state) {
+    uint64_t n = 0;
+    for (const ValueBitmap& vb : column) n += CodecAndCount(vb, other);
+    benchmark::DoNotOptimize(n);
+  }
+  state.counters["rep"] = static_cast<double>(column[0].rep());
+}
+
+// PARTITION of the sorted column: every value split by the selection.
+void BM_SortedColumnSplit(benchmark::State& state) {
+  std::vector<ValueBitmap> column = MakeSortedColumn();
+  WahPositionFilter filter(MakeSortedSelection(state.range(0)));
+  for (auto _ : state) {
+    for (const ValueBitmap& vb : column) {
+      std::pair<ValueBitmap, ValueBitmap> sides = CodecSplit(filter, vb);
+      benchmark::DoNotOptimize(sides);
+    }
+  }
+}
+
+// UNION of the two sides of that PARTITION, value by value.
+void BM_SortedColumnConcat(benchmark::State& state) {
+  WahPositionFilter filter(MakeSortedSelection(state.range(0)));
+  std::vector<std::pair<ValueBitmap, ValueBitmap>> halves;
+  for (const ValueBitmap& vb : MakeSortedColumn()) {
+    halves.push_back(CodecSplit(filter, vb));
+  }
+  for (auto _ : state) {
+    for (const auto& [a, b] : halves) {
+      ValueBitmap c = CodecConcat(a, b);
+      benchmark::DoNotOptimize(c);
+    }
+  }
+}
+
 void SplitSweep(benchmark::internal::Benchmark* b) {
   for (int64_t density : {10, 2, 0}) {
     for (int64_t shape : {0, 1, 2}) b->Args({density, shape});
@@ -244,6 +373,16 @@ BENCHMARK(BM_CodecOrManySparse)->Apply(KSweep);
 BENCHMARK(BM_WahPathOrManySparse)->Apply(KSweep);
 BENCHMARK(BM_CodecSplit)->Apply(SplitSweep);
 BENCHMARK(BM_CodecConcat)->Apply(ConcatSweep);
+BENCHMARK(BM_RunAndCount)
+    ->Arg(10)
+    ->Arg(2)
+    ->Arg(0)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RunSplit)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RunConcat)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SortedColumnAndCount)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SortedColumnSplit)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SortedColumnConcat)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace cods

@@ -12,8 +12,10 @@ Usage:
       [--absolute] [--wall-factor 4.0] [--update]
 
 Behavior:
-  * Only benchmarks present in BOTH files are compared (new series are
-    allowed to appear; removed ones are reported as a warning).
+  * Only benchmarks present in BOTH files are compared. New series are
+    allowed to appear, and one WARN line names them (a series without a
+    baseline is ungated, never silently so); removed ones are reported
+    as a warning too.
   * When raw repetition entries are present, each series is tracked as
     the MIN across repetitions — best-of-N is robust against whole
     repetitions lost to VM steal time or frequency dips, which inflate
@@ -229,6 +231,12 @@ def compare(baseline_path, current_path, threshold, metric, absolute,
             f"{wall_factor:g}x bound)"
         )
         regressions.append((f"<total {metric}>", base_total, cur_total, ratio))
+    added = sorted(set(cur_series) - set(base_series))
+    if added:
+        print(
+            f"WARN {os.path.basename(current_path)}: series without a "
+            f"baseline, not gated: " + ", ".join(added)
+        )
     missing = sorted(set(base_series) - set(cur_series))
     if missing:
         print(

@@ -338,6 +338,132 @@ ValueBitmap AllZeros(uint64_t size) {
   return ValueBitmap::FromWah(MakeWahFill(false, size));
 }
 
+// ---- The representation rule ----------------------------------------------
+
+// The density stage of ChooseBitmapRep.
+BitmapRep DensityRep(uint64_t ones, uint64_t size) {
+  CODS_DCHECK(ones <= size);
+  if (ones == 0 || ones == size) return BitmapRep::kWah;
+  if (size <= (uint64_t{1} << 32) && ones <= size / 64) {
+    return BitmapRep::kArray;
+  }
+  if (ones >= (size + 3) / 4) return BitmapRep::kBitset;
+  return BitmapRep::kWah;
+}
+
+// ChooseBitmapRep with the run count computed on demand:
+// `count_runs(limit)` is called only when the density stage picks kArray
+// or kBitset, and only has to count up to `limit` — the fewest runs whose
+// WahBoundBytes is no longer smaller than that container — so scattered
+// content stops counting early and mixed content never counts.
+template <typename CountRunsFn>
+BitmapRep ChooseRep(uint64_t ones, uint64_t size, CountRunsFn&& count_runs) {
+  const BitmapRep density = DensityRep(ones, size);
+  if (density == BitmapRep::kWah) return density;
+  const uint64_t density_bytes = density == BitmapRep::kArray
+                                     ? ones * sizeof(uint32_t)
+                                     : DenseWordCount(size) * sizeof(uint64_t);
+  // WahBoundBytes(runs) = 32 * runs + 16 < density_bytes
+  // <=>  runs < ceil((density_bytes - 16) / 32) = limit.
+  static_assert(WahBoundBytes(0) == 16 && WahBoundBytes(1) == 48);
+  const uint64_t limit =
+      density_bytes <= 16 ? 0 : (density_bytes - 16 + 31) / 32;
+  return count_runs(limit) < limit ? BitmapRep::kWah : density;
+}
+
+// End (exclusive) of the run of consecutive positions that starts at i.
+// Positions strictly increase, so [i, j) is one run iff
+// p[j - 1] - p[i] == j - 1 - i: gallop, then bisect — O(log length) per
+// run, O(1) for an isolated position.
+size_t RunEnd(const std::vector<uint32_t>& p, size_t i) {
+  size_t in = i, out = p.size();  // p[in] is in the run; out is past it
+  for (size_t step = 1; i + step < p.size(); step <<= 1) {
+    if (p[i + step] - p[i] != step) {
+      out = i + step;
+      break;
+    }
+    in = i + step;
+  }
+  while (out - in > 1) {
+    const size_t mid = in + (out - in) / 2;
+    (p[mid] - p[i] == mid - i ? in : out) = mid;
+  }
+  return in + 1;
+}
+
+// Maximal runs of set bits, counted per container. Each returns the exact
+// count when it is below `limit`, and some count >= `limit` otherwise.
+
+uint64_t CountPositionRuns(const std::vector<uint32_t>& positions,
+                           uint64_t limit) {
+  uint64_t runs = 0;
+  for (size_t i = 0; i < positions.size() && runs < limit;
+       i = RunEnd(positions, i)) {
+    ++runs;
+  }
+  return runs;
+}
+
+// Run starts: set bits of `bits` whose lower neighbour is clear; `carry`
+// is the bit just below bit 0.
+inline uint64_t RunStarts(uint64_t bits, uint64_t carry) {
+  return static_cast<uint64_t>(std::popcount(bits & ~((bits << 1) | carry)));
+}
+
+uint64_t CountDenseRuns(const std::vector<uint64_t>& words, uint64_t limit) {
+  uint64_t runs = 0, carry = 0;
+  for (size_t i = 0; i < words.size() && runs < limit; ++i) {
+    runs += RunStarts(words[i], carry);
+    carry = words[i] >> 63;
+  }
+  return runs;
+}
+
+uint64_t CountWahRuns(const WahBitmap& wah, uint64_t limit) {
+  uint64_t runs = 0, carry = 0;  // carry: the previous group's last bit
+  for (size_t i = 0; i < wah.words().size() && runs < limit; ++i) {
+    const uint64_t w = wah.words()[i];
+    if (wah::IsFill(w)) {
+      const uint64_t value = wah::FillValue(w) ? 1 : 0;
+      runs += value & ~carry;
+      carry = value;
+    } else {
+      const uint64_t bits = wah::Literal(w);
+      runs += RunStarts(bits, carry);
+      carry = bits >> (kWahGroupBits - 1);
+    }
+  }
+  return runs + RunStarts(wah.tail(), carry);
+}
+
+uint64_t CountRuns(const ValueBitmap& vb, uint64_t limit) {
+  switch (vb.rep()) {
+    case BitmapRep::kArray:
+      return CountPositionRuns(vb.array_positions(), limit);
+    case BitmapRep::kWah:
+      return CountWahRuns(vb.wah(), limit);
+    case BitmapRep::kBitset:
+      return CountDenseRuns(vb.bitset_words(), limit);
+  }
+  return 0;
+}
+
+// Canonical WAH of strictly increasing positions, one zero run and one
+// one run appended per run of positions (found by RunEnd): O(runs) appends
+// and no scratch.
+WahBitmap WahFromPositions(const std::vector<uint32_t>& positions,
+                           uint64_t size) {
+  WahBitmap out;
+  for (size_t i = 0; i < positions.size();) {
+    const size_t j = RunEnd(positions, i);
+    out.AppendRun(false, positions[i] - out.size());
+    out.AppendRun(true, j - i);
+    i = j;
+  }
+  out.AppendRun(false, size - out.size());
+  return out;
+}
+
 }  // namespace
 
 const char* BitmapRepName(BitmapRep rep) {
@@ -352,14 +478,8 @@ const char* BitmapRepName(BitmapRep rep) {
   return "?";
 }
 
-BitmapRep ChooseBitmapRep(uint64_t ones, uint64_t size) {
-  CODS_DCHECK(ones <= size);
-  if (ones == 0 || ones == size) return BitmapRep::kWah;
-  if (size <= (uint64_t{1} << 32) && ones <= size / 64) {
-    return BitmapRep::kArray;
-  }
-  if (ones >= (size + 3) / 4) return BitmapRep::kBitset;
-  return BitmapRep::kWah;
+BitmapRep ChooseBitmapRep(uint64_t ones, uint64_t size, uint64_t runs) {
+  return ChooseRep(ones, size, [runs](uint64_t) { return runs; });
 }
 
 CodecStats& GlobalCodecStats() {
@@ -369,12 +489,12 @@ CodecStats& GlobalCodecStats() {
 
 // ---- ValueBitmap construction --------------------------------------------
 
-ValueBitmap ValueBitmap::FromWah(WahBitmap wah) {
+ValueBitmap ValueBitmap::WahAs(BitmapRep rep, WahBitmap wah) {
   ValueBitmap vb;
+  vb.rep_ = rep;
   vb.size_ = wah.size();
   vb.ones_ = wah.CountOnes();
-  vb.rep_ = ChooseBitmapRep(vb.ones_, vb.size_);
-  switch (vb.rep_) {
+  switch (rep) {
     case BitmapRep::kArray: {
       vb.positions_.reserve(vb.ones_);
       WahSetBitIterator it(wah);
@@ -399,13 +519,22 @@ ValueBitmap ValueBitmap::FromWah(WahBitmap wah) {
   return vb;
 }
 
-ValueBitmap ValueBitmap::FromPositions(std::vector<uint32_t> positions,
-                                       uint64_t size) {
+ValueBitmap ValueBitmap::FromWah(WahBitmap wah) {
+  const BitmapRep rep = ChooseRep(wah.CountOnes(), wah.size(),
+                                  [&wah](uint64_t limit) {
+                                    return CountWahRuns(wah, limit);
+                                  });
+  return WahAs(rep, std::move(wah));
+}
+
+ValueBitmap ValueBitmap::PositionsAs(BitmapRep rep,
+                                     std::vector<uint32_t> positions,
+                                     uint64_t size) {
   ValueBitmap vb;
+  vb.rep_ = rep;
   vb.size_ = size;
   vb.ones_ = positions.size();
-  vb.rep_ = ChooseBitmapRep(vb.ones_, size);
-  switch (vb.rep_) {
+  switch (rep) {
     case BitmapRep::kArray:
       vb.positions_ = std::move(positions);
       GlobalCodecStats().array_built.fetch_add(1, std::memory_order_relaxed);
@@ -413,12 +542,19 @@ ValueBitmap ValueBitmap::FromPositions(std::vector<uint32_t> positions,
     case BitmapRep::kWah:
       if (vb.ones_ == 0 || vb.ones_ == size) {
         vb.wah_ = MakeWahFill(vb.ones_ != 0, size);
-      } else {
-        // Scatter, then one canonical encode: a group at a time instead
-        // of an append per position.
+      } else if (DensityRep(vb.ones_, size) == BitmapRep::kWah) {
+        // Mixed density (ones > size/64): scatter, then one canonical
+        // encode a group at a time — cheaper than an append per run when
+        // runs are short, and the scratch's size/64 words are fewer than
+        // the ones.
         std::vector<uint64_t> words(DenseWordCount(size), 0);
         for (uint32_t p : positions) words[p >> 6] |= uint64_t{1} << (p & 63);
         vb.wah_ = DenseToWah(words.data(), size);
+      } else {
+        // Clustered: few runs, so append them run by run. A
+        // size-proportional scratch here would dominate every PARTITION
+        // of a sorted column.
+        vb.wah_ = WahFromPositions(positions, size);
       }
       GlobalCodecStats().wah_built.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -434,13 +570,26 @@ ValueBitmap ValueBitmap::FromPositions(std::vector<uint32_t> positions,
   return vb;
 }
 
+ValueBitmap ValueBitmap::FromPositions(std::vector<uint32_t> positions,
+                                       uint64_t size) {
+  const BitmapRep rep =
+      ChooseRep(positions.size(), size,
+                [&positions](uint64_t limit) {
+                  return CountPositionRuns(positions, limit);
+                });
+  return PositionsAs(rep, std::move(positions), size);
+}
+
 ValueBitmap ValueBitmap::FromDenseWords(std::vector<uint64_t> words,
                                         uint64_t size) {
   CODS_DCHECK(words.size() == DenseWordCount(size));
   ValueBitmap vb;
   vb.size_ = size;
   vb.ones_ = CountWords(words);
-  vb.rep_ = ChooseBitmapRep(vb.ones_, size);
+  vb.rep_ = ChooseRep(vb.ones_, size,
+                      [&words](uint64_t limit) {
+                        return CountDenseRuns(words, limit);
+                      });
   switch (vb.rep_) {
     case BitmapRep::kArray: {
       vb.positions_.reserve(vb.ones_);
@@ -467,10 +616,11 @@ ValueBitmap ValueBitmap::FromDenseWords(std::vector<uint64_t> words,
   return vb;
 }
 
-Result<ValueBitmap> ValueBitmap::FromRawParts(BitmapRep rep, uint64_t size,
-                                              std::vector<uint32_t> positions,
-                                              WahBitmap wah,
-                                              std::vector<uint64_t> words) {
+Result<ValueBitmap> ValueBitmap::Assemble(BitmapRep rep, uint64_t size,
+                                          std::vector<uint32_t> positions,
+                                          WahBitmap wah,
+                                          std::vector<uint64_t> words,
+                                          bool accept_density_rep) {
   ValueBitmap vb;
   vb.rep_ = rep;
   vb.size_ = size;
@@ -510,13 +660,33 @@ Result<ValueBitmap> ValueBitmap::FromRawParts(BitmapRep rep, uint64_t size,
     default:
       return Status::Corruption("unknown bitmap representation tag");
   }
-  if (ChooseBitmapRep(vb.ones_, size) != rep) {
-    return Status::Corruption(
-        std::string("non-canonical bitmap representation: ") +
-        BitmapRepName(rep) + " holding " + std::to_string(vb.ones_) + "/" +
-        std::to_string(size) + " bits");
+  const BitmapRep canonical =
+      ChooseRep(vb.ones_, size,
+                [&vb](uint64_t limit) { return CountRuns(vb, limit); });
+  if (canonical == rep) return vb;
+  // The run stage only ever replaces the density choice by kWah.
+  if (accept_density_rep && DensityRep(vb.ones_, size) == rep) {
+    return WahAs(canonical, vb.ToWah());
   }
-  return vb;
+  return Status::Corruption(
+      std::string("non-canonical bitmap representation: ") +
+      BitmapRepName(rep) + " holding " + std::to_string(vb.ones_) + "/" +
+      std::to_string(size) + " bits");
+}
+
+Result<ValueBitmap> ValueBitmap::FromRawParts(BitmapRep rep, uint64_t size,
+                                              std::vector<uint32_t> positions,
+                                              WahBitmap wah,
+                                              std::vector<uint64_t> words) {
+  return Assemble(rep, size, std::move(positions), std::move(wah),
+                  std::move(words), /*accept_density_rep=*/false);
+}
+
+Result<ValueBitmap> ValueBitmap::FromLegacyRawParts(
+    BitmapRep rep, uint64_t size, std::vector<uint32_t> positions,
+    WahBitmap wah, std::vector<uint64_t> words) {
+  return Assemble(rep, size, std::move(positions), std::move(wah),
+                  std::move(words), /*accept_density_rep=*/true);
 }
 
 // ---- ValueBitmap inspection ----------------------------------------------
@@ -647,7 +817,9 @@ Status ValueBitmap::Validate(uint64_t expected_size) const {
       break;
     }
   }
-  if (ChooseBitmapRep(ones_, size_) != rep_) {
+  if (ChooseRep(ones_, size_, [this](uint64_t limit) {
+        return CountRuns(*this, limit);
+      }) != rep_) {
     return Status::Corruption(
         std::string("non-canonical representation ") + BitmapRepName(rep_) +
         " for " + std::to_string(ones_) + "/" + std::to_string(size_));
@@ -932,7 +1104,7 @@ namespace {
 // set bit p to the first side at Rank(p) when the filter keeps it, else
 // to the second at p - Rank(p). Positions collect in thread-local
 // scratch, so nothing regrows per call; FromPositions then builds each
-// side in the container its exact count picks.
+// side in the container its exact count and runs pick.
 std::pair<ValueBitmap, ValueBitmap> Split(const WahPositionFilter& filter,
                                           const ValueBitmap& vb,
                                           bool want_out) {
@@ -972,11 +1144,20 @@ ValueBitmap CodecFilter(const WahPositionFilter& filter,
 }
 
 ValueBitmap CodecConcat(const ValueBitmap& a, const ValueBitmap& b) {
+  const uint64_t size = a.size() + b.size();
   const uint64_t ones = a.CountOnes() + b.CountOnes();
-  if (ChooseBitmapRep(ones, a.size() + b.size()) != BitmapRep::kArray) {
+  const BitmapRep rep = ChooseRep(ones, size, [&](uint64_t limit) {
+    // A run that ends a and one that starts b join into one; counting
+    // each side to limit + 1 keeps the sum's comparison with limit exact.
+    const bool joined =
+        !a.empty() && !b.empty() && a.Get(a.size() - 1) && b.Get(0);
+    return CountRuns(a, limit + 1) + CountRuns(b, limit + 1) -
+           (joined ? 1 : 0);
+  });
+  if (rep != BitmapRep::kArray) {
     WahBitmap out = a.ToWah();
     out.Concat(b.ToWah());
-    return ValueBitmap::FromWah(std::move(out));
+    return ValueBitmap::WahAs(rep, std::move(out));
   }
   std::vector<uint32_t> positions;
   positions.reserve(ones);
@@ -986,7 +1167,7 @@ ValueBitmap CodecConcat(const ValueBitmap& a, const ValueBitmap& b) {
   b.ForEachSetBit([&](uint64_t p) {
     positions.push_back(static_cast<uint32_t>(a.size() + p));
   });
-  return ValueBitmap::FromPositions(std::move(positions), a.size() + b.size());
+  return ValueBitmap::PositionsAs(rep, std::move(positions), size);
 }
 
 }  // namespace cods

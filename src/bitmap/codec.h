@@ -1,26 +1,30 @@
-// Density-adaptive per-value bitmap codec (Roaring-style containers).
+// Size-adaptive per-value bitmap codec (Roaring-style containers).
 //
 // A dictionary column stores one bitmap per distinct value, and their
-// densities span orders of magnitude: in a high-cardinality dictionary
+// shapes span orders of magnitude: in a high-cardinality dictionary
 // most values mark a handful of rows (the bitmap is almost all zero
-// fill), while a skewed column has a few values covering most rows. One
-// representation cannot be optimal for both, so `ValueBitmap` picks one
-// of three per value:
+// fill), a skewed column has a few values covering most rows, and a
+// sorted or clustered column has values that mark one long run each.
+// One representation cannot be optimal for all of them, so
+// `ValueBitmap` picks one of three per value:
 //
-//   * kArray  — sorted uint32_t positions, for sparse values. AND/OR
-//               become galloping sorted-set merges over just the set
-//               positions; filter, split and concat push positions.
+//   * kArray  — sorted uint32_t positions, for sparse scattered values.
+//               AND/OR become galloping sorted-set merges over just the
+//               set positions; filter, split and concat push positions.
 //   * kWah    — the paper's WAH runs (bitmap/wah_bitmap.h), for the
-//               mixed regime and as the interchange form every kernel
-//               can produce and consume.
-//   * kBitset — raw uint64_t words, for dense values. AND/OR/count are
-//               word-parallel loops the compiler auto-vectorizes;
-//               std::popcount does the counting.
+//               mixed regime, for clustered values (a WAH fill *is* a
+//               run, so a sorted column's values are single-fill
+//               bitmaps: the paper's run-length encoding of sorted
+//               columns, §2.2), and as the interchange form every
+//               kernel can produce and consume.
+//   * kBitset — raw uint64_t words, for dense scattered values. AND/OR/
+//               count are word-parallel loops the compiler
+//               auto-vectorizes; std::popcount does the counting.
 //
 // Determinism contract (extends the canonical-form contract of
 // WahBitmap): the representation is a pure function of
-// (popcount, size) — ChooseBitmapRep — and every constructor routes
-// through it, so two ValueBitmaps holding the same row set are
+// (popcount, size, runs) — ChooseBitmapRep — and every constructor
+// routes through it, so two ValueBitmaps holding the same row set are
 // representation-identical no matter which thread count or code path
 // built them. Equality therefore stays a payload comparison, and the
 // staged-commit / parallel-build bit-identity proofs carry over
@@ -53,7 +57,9 @@ enum class BitmapRep : uint8_t { kArray = 0, kWah = 1, kBitset = 2 };
 
 const char* BitmapRepName(BitmapRep rep);
 
-/// The deterministic density rule. Pure in (ones, size):
+/// The deterministic size rule. Pure in (ones, size, runs), where
+/// `runs` is the number of maximal runs of set bits. First the density
+/// choice:
 ///   * homogeneous (ones == 0 or ones == size) -> kWah: one fill word
 ///     beats both an empty position list's header and a solid bitset;
 ///   * ones <= size/64 -> kArray: 4 bytes per position is at most half
@@ -61,9 +67,18 @@ const char* BitmapRepName(BitmapRep rep);
 ///   * ones >= (size+3)/4 -> kBitset: at >= 25% density WAH literals
 ///     dominate anyway, so drop to raw words and vectorize;
 ///   * otherwise -> kWah.
-/// Positions are stored as uint32_t, so bitmaps longer than 2^32 bits
-/// never choose kArray.
-BitmapRep ChooseBitmapRep(uint64_t ones, uint64_t size);
+/// Then, when the density choice is kArray or kBitset, kWah replaces it
+/// iff WahBoundBytes(runs) is strictly smaller than that container's
+/// bytes (4 per position, or the bitset's words): clustered values are
+/// stored as fills, scattered ones keep their container. Positions are
+/// stored as uint32_t, so bitmaps longer than 2^32 bits never choose
+/// kArray.
+BitmapRep ChooseBitmapRep(uint64_t ones, uint64_t size, uint64_t runs);
+
+/// Upper bound on the bytes of a canonical WAH bitmap with `runs` runs
+/// of set bits: per run at most a zero fill, two boundary literals and a
+/// one fill, plus a trailing zero fill and the active tail group.
+constexpr uint64_t WahBoundBytes(uint64_t runs) { return 8 * (4 * runs + 2); }
 
 /// Process-wide codec observability (cods_shell `.stats`). Relaxed
 /// atomics: counts are advisory, never synchronization.
@@ -74,7 +89,7 @@ struct CodecStats {
 };
 CodecStats& GlobalCodecStats();
 
-/// One per-value bitmap behind the density-adaptive codec.
+/// One per-value bitmap behind the size-adaptive codec.
 class ValueBitmap {
  public:
   /// Empty bitmap (zero bits), kWah representation.
@@ -85,10 +100,14 @@ class ValueBitmap {
   ValueBitmap(ValueBitmap&&) noexcept = default;
   ValueBitmap& operator=(ValueBitmap&&) noexcept = default;
 
-  /// Wraps a WAH bitmap, re-encoding into the density-chosen container.
+  /// Wraps a WAH bitmap, re-encoding into the container ChooseBitmapRep
+  /// picks.
   static ValueBitmap FromWah(WahBitmap wah);
 
-  /// Builds from strictly increasing set positions (< size).
+  /// Builds from strictly increasing set positions (< size). A WAH
+  /// result of clustered content (the density stage picked kArray or
+  /// kBitset) is appended run by run, never through a size-proportional
+  /// scratch.
   static ValueBitmap FromPositions(std::vector<uint32_t> positions,
                                    uint64_t size);
 
@@ -100,12 +119,20 @@ class ValueBitmap {
   /// Persistence path: reassembles from a representation tag and its raw
   /// payload (exactly one of the three payloads is non-empty, matching
   /// `rep`). Validates structural soundness AND that `rep` is the one
-  /// ChooseBitmapRep picks for the payload's density — a foreign or
-  /// corrupted image cannot smuggle in a non-canonical container.
+  /// ChooseBitmapRep picks for the payload — a foreign or corrupted image
+  /// cannot smuggle in a non-canonical container.
   static Result<ValueBitmap> FromRawParts(BitmapRep rep, uint64_t size,
                                           std::vector<uint32_t> positions,
                                           WahBitmap wah,
                                           std::vector<uint64_t> words);
+
+  /// FromRawParts for images written while the rule was density-only:
+  /// a tag that only the density stage of ChooseBitmapRep picks is
+  /// accepted too, and its payload re-encoded into the canonical
+  /// container. A tag neither picks is still Corruption.
+  static Result<ValueBitmap> FromLegacyRawParts(
+      BitmapRep rep, uint64_t size, std::vector<uint32_t> positions,
+      WahBitmap wah, std::vector<uint64_t> words);
 
   // ---- Inspection ------------------------------------------------------
 
@@ -190,7 +217,7 @@ class ValueBitmap {
   /// Structural + canonical-form check (ValidateInvariants, serde):
   /// expected size, in-range sorted-unique positions / zeroed bitset
   /// slack, cached popcount consistent, representation the one
-  /// ChooseBitmapRep mandates.
+  /// ChooseBitmapRep mandates for the payload's (ones, size, runs).
   Status Validate(uint64_t expected_size) const;
 
   // ---- Payload accessors (kernels, serde) ------------------------------
@@ -209,6 +236,23 @@ class ValueBitmap {
   }
 
  private:
+  // UNION's concatenation picks the container from its inputs' counts
+  // before building it.
+  friend ValueBitmap CodecConcat(const ValueBitmap& a, const ValueBitmap& b);
+
+  // Build the container `rep`, already chosen by the rule for this
+  // content, from positions / a WAH bitmap.
+  static ValueBitmap PositionsAs(BitmapRep rep,
+                                 std::vector<uint32_t> positions,
+                                 uint64_t size);
+  static ValueBitmap WahAs(BitmapRep rep, WahBitmap wah);
+
+  static Result<ValueBitmap> Assemble(BitmapRep rep, uint64_t size,
+                                      std::vector<uint32_t> positions,
+                                      WahBitmap wah,
+                                      std::vector<uint64_t> words,
+                                      bool accept_density_rep);
+
   BitmapRep rep_ = BitmapRep::kWah;
   uint64_t size_ = 0;
   uint64_t ones_ = 0;
@@ -220,7 +264,7 @@ class ValueBitmap {
 // ---- Kernels (specialized per representation pair) -----------------------
 //
 // All pairwise kernels require a.size() == b.size(). Results are
-// ValueBitmaps in their own density-chosen representation; the *Wah
+// ValueBitmaps in their own rule-chosen representation; the *Wah
 // variants produce canonical WAH directly for callers on the interchange
 // form (query selections).
 
@@ -257,8 +301,8 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
 // These move set bits between containers without a WAH round trip:
 // positions are routed or shifted in one pass over the input's own
 // container and the output is built once, in the container its exact
-// popcount picks (arrays by push, bitsets and mixed WAH from dense
-// words, homogeneous outputs as one fill).
+// popcount and run count pick (arrays by push, bitsets and mixed WAH from
+// dense words, clustered WAH run by run, homogeneous outputs as one fill).
 
 /// PARTITION's bitmap filtering: splits vb by the filter's selection in
 /// one pass. `first` holds the selected bits re-based onto the selected
@@ -274,8 +318,12 @@ ValueBitmap CodecFilter(const WahPositionFilter& filter,
                         const ValueBitmap& vb);
 
 /// UNION's concatenation: a's bits followed by b's, length
-/// a.size() + b.size(). An array result is a's positions then b's
-/// shifted by a.size(); any other result appends b's WAH form to a's
+/// a.size() + b.size(). The container is chosen before anything is
+/// built: the popcount is the sum of the inputs', and the run count is
+/// the sum of theirs less one when a's last bit and b's first bit are
+/// both set (counted only when the density stage does not already pick
+/// kWah). An array result is a's positions then b's shifted by
+/// a.size(); any other result appends b's WAH form to a's
 /// (WahBitmap::Concat, which splices code words).
 ValueBitmap CodecConcat(const ValueBitmap& a, const ValueBitmap& b);
 

@@ -78,17 +78,12 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
   return out;
 }
 
-Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
+std::shared_ptr<const Column> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
-    const WahPositionFilter& filter, const std::string& op_name,
-    std::shared_ptr<const Column>* rest) {
-  if (column.encoding() != ColumnEncoding::kWahBitmap) {
-    return Status::InvalidArgument(op_name +
-                                   " requires WAH-encoded columns");
-  }
+    const WahPositionFilter& filter, std::shared_ptr<const Column>* rest) {
   std::vector<ValueBitmap> filtered(column.distinct_count());
   std::vector<ValueBitmap> dropped(rest != nullptr ? filtered.size() : 0);
-  CODS_RETURN_NOT_OK(
+  Status st =
       ParallelFor(ctx, 0, column.distinct_count(), 16, [&](uint64_t v) {
         const ValueBitmap& vb = column.bitmap(static_cast<Vid>(v));
         if (rest != nullptr) {
@@ -97,7 +92,8 @@ Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
           filtered[v] = CodecFilter(filter, vb);
         }
         return Status::OK();
-      }));
+      });
+  CODS_CHECK(st.ok()) << st.ToString();
   if (rest != nullptr) {
     *rest = Column::FromValueBitmaps(column.type(), column.dict(),
                                      std::move(dropped),
@@ -116,7 +112,7 @@ Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
 
 namespace {
 
-// Re-encodes freshly built WAH bitmaps into their density-chosen codec
+// Re-encodes freshly built WAH bitmaps into their rule-chosen codec
 // containers, one task per value. The per-vid results land in pre-sized
 // index-ordered slots and the representation choice is a pure function
 // of content, so the conversion is bit-identical at every thread count.
@@ -138,7 +134,6 @@ std::shared_ptr<Column> Column::FromVids(DataType type, Dictionary dict,
                                          const ExecContext* ctx) {
   auto col = std::shared_ptr<Column>(new Column());
   col->type_ = type;
-  col->encoding_ = ColumnEncoding::kWahBitmap;
   col->rows_ = vids.size();
   const ExecContext& exec = ResolveContext(ctx);
   col->bitmaps_ = EncodeValueBitmaps(
@@ -160,9 +155,6 @@ std::shared_ptr<Column> Column::FromBitmaps(DataType type, Dictionary dict,
 }
 
 std::vector<Vid> Column::DecodeVids(const ExecContext* ctx) const {
-  if (encoding_ == ColumnEncoding::kRle) {
-    return rle_.Decode();
-  }
   std::vector<Vid> out(rows_, 0);
   // Value bitmaps partition the row set, so the per-vid writes target
   // disjoint positions — safe to run concurrently, identical result.
@@ -194,17 +186,6 @@ Status Table::ValidateInvariants(const ExecContext* ctx) const {
 }
 
 Status Column::ValidateInvariants(const ExecContext* ctx) const {
-  if (encoding_ == ColumnEncoding::kRle) {
-    if (rle_.size() != rows_) {
-      return Status::Corruption("RLE length != row count");
-    }
-    for (const RleVector::Run& r : rle_.runs()) {
-      if (r.value >= dict_.size()) {
-        return Status::Corruption("RLE vid outside dictionary");
-      }
-    }
-    return Status::OK();
-  }
   if (bitmaps_.size() != dict_.size()) {
     return Status::Corruption("bitmap count != dictionary size");
   }

@@ -40,11 +40,10 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
 /// position-filtering shape shared by SELECT, JOIN and DECOMPOSE. With
 /// `rest` (PARTITION TABLE), each bitmap is split instead (CodecSplit)
 /// and *rest receives the complement's column; both keep the full
-/// dictionary. Requires a WAH-encoded column; `op_name` labels the error
-/// otherwise. Bit-identical at every thread count.
-Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
+/// dictionary. Bit-identical at every thread count.
+std::shared_ptr<const Column> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
-    const WahPositionFilter& filter, const std::string& op_name,
+    const WahPositionFilter& filter,
     std::shared_ptr<const Column>* rest = nullptr);
 
 }  // namespace cods

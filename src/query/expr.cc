@@ -288,13 +288,7 @@ LeafVids MatchingVids(const Column& column, const Expr& leaf) {
 Result<std::shared_ptr<const Column>> LeafColumn(const Table& table,
                                                  const Expr& leaf) {
   const Expr& inner = leaf.kind == ExprKind::kNot ? *leaf.children[0] : leaf;
-  CODS_ASSIGN_OR_RETURN(auto col, table.ColumnByRef(inner.column));
-  if (col->encoding() != ColumnEncoding::kWahBitmap) {
-    return Status::InvalidArgument(
-        "predicates require a WAH-encoded column; re-encode '" +
-        inner.column + "' first");
-  }
-  return col;
+  return table.ColumnByRef(inner.column);
 }
 
 // One leaf to its selection bitmap: a single-pass k-way union of the

@@ -99,8 +99,8 @@ uint64_t CountLeafRows(const Column& column, const Expr& leaf);
 /// Evaluates `expr` to a selection bitmap of length table.rows().
 /// Normalizes, resolves every leaf in parallel on `ctx` into a k-way
 /// union of its value bitmaps, and combines with the k-way kernels.
-/// Unknown columns and non-WAH-encoded columns error; the first error
-/// in leaf order wins at every thread count.
+/// Unknown columns error; the first error in leaf order wins at every
+/// thread count.
 Result<WahBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
                            const ExecContext* ctx = nullptr);
 

@@ -484,10 +484,8 @@ Result<std::shared_ptr<const Table>> QueryEngine::SelectRows(
   WahPositionFilter filter(selection);
   // Column tasks nest the per-vid filter tasks inside FilterColumnBitmaps.
   CODS_RETURN_NOT_OK(
-      ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
-        CODS_ASSIGN_OR_RETURN(
-            cols[i], FilterColumnBitmaps(exec, *table.column(indices[i]),
-                                         filter, "SELECT"));
+      ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) {
+        cols[i] = FilterColumnBitmaps(exec, *table.column(indices[i]), filter);
         return Status::OK();
       }));
   return Table::Make(out_name, std::move(schema), std::move(cols),
@@ -511,10 +509,6 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
     return Status::InvalidArgument("GROUP BY needs at least one aggregate");
   }
   CODS_ASSIGN_OR_RETURN(auto group, table.ColumnByRef(group_by));
-  if (group->encoding() != ColumnEncoding::kWahBitmap) {
-    return Status::InvalidArgument(
-        "GROUP BY requires a WAH-encoded group column");
-  }
   // Resolve the measure columns, deduplicated: several aggregates over
   // one column share its per-group AND-count pass.
   std::vector<size_t> measure_idx;                        // table indices
@@ -543,10 +537,6 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
         col->type() == DataType::kString) {
       return Status::TypeError(agg.ToString() +
                                " needs a numeric measure column");
-    }
-    if (col->encoding() != ColumnEncoding::kWahBitmap) {
-      return Status::InvalidArgument(
-          "aggregates require WAH-encoded measure columns");
     }
     size_t slot = kNoMeasure;
     for (size_t m = 0; m < measure_idx.size(); ++m) {

@@ -72,9 +72,7 @@ Result<std::shared_ptr<const Table>> SelectFromFilter(
                         Schema::Make(std::move(specs), std::move(key)));
   std::vector<std::shared_ptr<const Column>> cols(indices.size());
   for (size_t i = 0; i < indices.size(); ++i) {
-    CODS_ASSIGN_OR_RETURN(cols[i],
-                          FilterColumnBitmaps(ctx, *table.column(indices[i]),
-                                              filter, "SELECT"));
+    cols[i] = FilterColumnBitmaps(ctx, *table.column(indices[i]), filter);
   }
   return Table::Make(q.out_name, std::move(schema), std::move(cols),
                      filter.num_positions());

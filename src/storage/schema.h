@@ -18,7 +18,10 @@ namespace cods {
 struct ColumnSpec {
   std::string name;
   DataType type = DataType::kString;
-  bool sorted = false;  // hint: store run-length-encoded (§2.2)
+  // Declared sorted (§2.2). Parsed, printed and persisted, but it
+  // selects no encoding: the codec stores a sorted column's values as
+  // WAH fills by their run count alone.
+  bool sorted = false;
 };
 
 /// An ordered list of column specs plus an optional key.

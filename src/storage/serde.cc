@@ -158,7 +158,7 @@ Result<ValueBitmap> ReadValueBitmap(BinaryReader* in, uint64_t rows) {
         CODS_ASSIGN_OR_RETURN(uint32_t p, in->U32());
         positions.push_back(p);
       }
-      return ValueBitmap::FromRawParts(rep, rows, std::move(positions),
+      return ValueBitmap::FromLegacyRawParts(rep, rows, std::move(positions),
                                        WahBitmap(), {});
     }
     case BitmapRep::kWah: {
@@ -166,7 +166,7 @@ Result<ValueBitmap> ReadValueBitmap(BinaryReader* in, uint64_t rows) {
       if (bm.size() != rows) {
         return Status::Corruption("bitmap length does not match row count");
       }
-      return ValueBitmap::FromRawParts(rep, rows, {}, std::move(bm), {});
+      return ValueBitmap::FromLegacyRawParts(rep, rows, {}, std::move(bm), {});
     }
     case BitmapRep::kBitset: {
       CODS_ASSIGN_OR_RETURN(uint32_t word_count, in->U32());
@@ -179,7 +179,7 @@ Result<ValueBitmap> ReadValueBitmap(BinaryReader* in, uint64_t rows) {
         CODS_ASSIGN_OR_RETURN(uint64_t w, in->U64());
         words.push_back(w);
       }
-      return ValueBitmap::FromRawParts(rep, rows, {}, WahBitmap(),
+      return ValueBitmap::FromLegacyRawParts(rep, rows, {}, WahBitmap(),
                                        std::move(words));
     }
   }
@@ -248,33 +248,63 @@ Result<Dictionary> ReadDictionary(BinaryReader* in) {
 
 // ---- Columns -----------------------------------------------------------------
 
+// Column encoding bytes. Every column is written as kBitmapColumn; a
+// kLegacyRleColumn (a sorted column from an image written while sorted
+// columns were run-length encoded) loads into the same codec form.
+constexpr uint8_t kBitmapColumn = 0;
+constexpr uint8_t kLegacyRleColumn = 1;
+
 void WriteColumn(const Column& column, BinaryWriter* out, uint32_t version) {
   out->U8(static_cast<uint8_t>(column.type()));
-  out->U8(static_cast<uint8_t>(column.encoding()));
+  out->U8(kBitmapColumn);
   out->U64(column.rows());
   WriteDictionary(column.dict(), out);
-  if (column.encoding() == ColumnEncoding::kWahBitmap) {
-    out->U32(static_cast<uint32_t>(column.bitmaps().size()));
-    if (version >= kCodsFileVersionV3) {
-      // Each container serializes in its own representation, tagged.
-      for (const ValueBitmap& vb : column.bitmaps()) {
-        WriteValueBitmap(vb, out);
-      }
-    } else {
-      // v1/v2 images are WAH-shaped: re-encode through the interchange
-      // form so older readers stay compatible.
-      for (const ValueBitmap& vb : column.bitmaps()) {
-        WriteBitmap(vb.ToWah(), out);
-      }
+  out->U32(static_cast<uint32_t>(column.bitmaps().size()));
+  if (version >= kCodsFileVersionV3) {
+    // Each container serializes in its own representation, tagged.
+    for (const ValueBitmap& vb : column.bitmaps()) {
+      WriteValueBitmap(vb, out);
     }
   } else {
-    const RleVector& rle = column.rle();
-    out->U32(static_cast<uint32_t>(rle.NumRuns()));
-    for (const RleVector::Run& run : rle.runs()) {
-      out->U32(run.value);
-      out->U64(run.length);
+    // v1/v2 images are WAH-shaped: re-encode through the interchange
+    // form so older readers stay compatible.
+    for (const ValueBitmap& vb : column.bitmaps()) {
+      WriteBitmap(vb.ToWah(), out);
     }
   }
+}
+
+// A legacy RLE payload: each run (vid, length) becomes a fill appended
+// to that value's WAH bitmap, so a sorted column loads as single-fill
+// bitmaps without materializing its rows.
+Result<std::vector<WahBitmap>> ReadLegacyRlePayload(BinaryReader* in,
+                                                    const Dictionary& dict,
+                                                    uint64_t rows) {
+  CODS_ASSIGN_OR_RETURN(uint32_t run_count, in->U32());
+  if (run_count > kMaxReasonableCount) {
+    return Status::Corruption("implausible RLE run count");
+  }
+  std::vector<WahBitmap> bitmaps(dict.size());
+  uint64_t offset = 0;
+  for (uint32_t i = 0; i < run_count; ++i) {
+    CODS_ASSIGN_OR_RETURN(uint32_t vid, in->U32());
+    CODS_ASSIGN_OR_RETURN(uint64_t length, in->U64());
+    if (vid >= dict.size()) {
+      return Status::Corruption("RLE vid outside dictionary");
+    }
+    if (length == 0) return Status::Corruption("zero-length RLE run");
+    if (length > rows - offset) {
+      return Status::Corruption("RLE length does not match row count");
+    }
+    bitmaps[vid].AppendRun(false, offset - bitmaps[vid].size());
+    bitmaps[vid].AppendRun(true, length);
+    offset += length;
+  }
+  if (offset != rows) {
+    return Status::Corruption("RLE length does not match row count");
+  }
+  for (WahBitmap& bm : bitmaps) bm.AppendRun(false, rows - bm.size());
+  return bitmaps;
 }
 
 Result<std::shared_ptr<const Column>> ReadColumn(BinaryReader* in,
@@ -286,62 +316,43 @@ Result<std::shared_ptr<const Column>> ReadColumn(BinaryReader* in,
   }
   DataType type = static_cast<DataType>(type_byte);
   CODS_ASSIGN_OR_RETURN(uint8_t enc_byte, in->U8());
-  if (enc_byte > static_cast<uint8_t>(ColumnEncoding::kRle)) {
+  if (enc_byte != kBitmapColumn && enc_byte != kLegacyRleColumn) {
     return Status::Corruption("unknown column encoding " +
                               std::to_string(enc_byte));
   }
-  ColumnEncoding encoding = static_cast<ColumnEncoding>(enc_byte);
   CODS_ASSIGN_OR_RETURN(uint64_t rows, in->U64());
   CODS_ASSIGN_OR_RETURN(Dictionary dict, ReadDictionary(in));
-  if (encoding == ColumnEncoding::kWahBitmap) {
-    CODS_ASSIGN_OR_RETURN(uint32_t count, in->U32());
-    if (count != dict.size()) {
-      return Status::Corruption("bitmap count does not match dictionary");
-    }
-    if (version >= kCodsFileVersionV3) {
-      std::vector<ValueBitmap> bitmaps;
-      bitmaps.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        CODS_ASSIGN_OR_RETURN(ValueBitmap vb, ReadValueBitmap(in, rows));
-        bitmaps.push_back(std::move(vb));
-      }
-      return std::shared_ptr<const Column>(Column::FromValueBitmaps(
-          type, std::move(dict), std::move(bitmaps), rows));
-    }
-    std::vector<WahBitmap> bitmaps;
+  if (enc_byte == kLegacyRleColumn) {
+    CODS_ASSIGN_OR_RETURN(std::vector<WahBitmap> bitmaps,
+                          ReadLegacyRlePayload(in, dict, rows));
+    return std::shared_ptr<const Column>(Column::FromBitmaps(
+        type, std::move(dict), std::move(bitmaps), rows));
+  }
+  CODS_ASSIGN_OR_RETURN(uint32_t count, in->U32());
+  if (count != dict.size()) {
+    return Status::Corruption("bitmap count does not match dictionary");
+  }
+  if (version >= kCodsFileVersionV3) {
+    std::vector<ValueBitmap> bitmaps;
     bitmaps.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
-      CODS_ASSIGN_OR_RETURN(WahBitmap bm, ReadBitmap(in));
-      if (bm.size() != rows) {
-        return Status::Corruption("bitmap length does not match row count");
-      }
-      bitmaps.push_back(std::move(bm));
+      CODS_ASSIGN_OR_RETURN(ValueBitmap vb, ReadValueBitmap(in, rows));
+      bitmaps.push_back(std::move(vb));
     }
-    return std::shared_ptr<const Column>(
-        Column::FromBitmaps(type, std::move(dict), std::move(bitmaps),
-                            rows));
+    return std::shared_ptr<const Column>(Column::FromValueBitmaps(
+        type, std::move(dict), std::move(bitmaps), rows));
   }
-  CODS_ASSIGN_OR_RETURN(uint32_t run_count, in->U32());
-  if (run_count > kMaxReasonableCount) {
-    return Status::Corruption("implausible RLE run count");
-  }
-  std::vector<RleVector::Run> runs;
-  runs.reserve(run_count);
-  for (uint32_t i = 0; i < run_count; ++i) {
-    CODS_ASSIGN_OR_RETURN(uint32_t vid, in->U32());
-    CODS_ASSIGN_OR_RETURN(uint64_t length, in->U64());
-    if (vid >= dict.size()) {
-      return Status::Corruption("RLE vid outside dictionary");
+  std::vector<WahBitmap> bitmaps;
+  bitmaps.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    CODS_ASSIGN_OR_RETURN(WahBitmap bm, ReadBitmap(in));
+    if (bm.size() != rows) {
+      return Status::Corruption("bitmap length does not match row count");
     }
-    if (length == 0) return Status::Corruption("zero-length RLE run");
-    runs.push_back(RleVector::Run{vid, length});
-  }
-  RleVector rle = RleVector::FromRuns(runs);
-  if (rle.size() != rows) {
-    return Status::Corruption("RLE length does not match row count");
+    bitmaps.push_back(std::move(bm));
   }
   return std::shared_ptr<const Column>(
-      Column::FromRle(type, std::move(dict), std::move(rle)));
+      Column::FromBitmaps(type, std::move(dict), std::move(bitmaps), rows));
 }
 
 // ---- Schemas and tables -------------------------------------------------------

@@ -11,7 +11,8 @@
 //   table  := name:str rows:u64 schema column*
 //   schema := key_count:u32 key_name* column_count:u32 colspec*
 //   colspec:= name:str type:u8 sorted:u8
-//   column := type:u8 encoding:u8 rows:u64 dict payload
+//   column := type:u8 encoding:u8 rows:u64 dict payload   (encoding 0;
+//             1 = RLE, read-only: sorted columns of older images)
 //   dict   := count:u32 value*
 //   value  := tag:u8 (i64 | f64 | str)
 //   payload(WAH, v1/v2) := bitmap_count:u32 bitmap*
@@ -29,11 +30,17 @@
 // ones. Version 1 images (no footer) remain readable.
 //
 // Version 3 keeps the v2 footer but stores each value bitmap in its
-// density-chosen codec container (bitmap/codec.h), tagged per value, so
+// rule-chosen codec container (bitmap/codec.h), tagged per value, so
 // images round-trip without re-encoding through WAH. Loads re-validate
 // that every tag is the representation ChooseBitmapRep mandates for the
-// payload's density. v1 and v2 images (WAH-shaped payloads) remain
+// payload — or the one its density stage alone picks, as in images
+// written before the rule counted runs; such a container is re-encoded
+// into the canonical one. v1 and v2 images (WAH-shaped payloads) remain
 // readable; their bitmaps re-encode into codec containers on load.
+//
+// Writers emit only bitmap columns. An RLE column (encoding 1, the
+// sorted-column form of older images of every version) loads as a
+// bitmap column: each run becomes a fill of its value's bitmap.
 
 #ifndef CODS_STORAGE_SERDE_H_
 #define CODS_STORAGE_SERDE_H_

@@ -90,8 +90,9 @@ class TableBuilder {
   /// Number of rows appended so far.
   uint64_t rows() const { return rows_; }
 
-  /// Finishes construction. Columns declared `sorted` are RLE-encoded,
-  /// all others get WAH bitmaps. The builder is consumed.
+  /// Finishes construction: every column becomes a dictionary plus codec
+  /// value bitmaps (a `sorted` column's values come out as single WAH
+  /// fills). The builder is consumed.
   Result<std::shared_ptr<const Table>> Finish();
 
  private:

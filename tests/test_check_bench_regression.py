@@ -122,6 +122,26 @@ class GateTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("WALL-BOUND", proc.stdout)
 
+    def test_new_series_are_named_in_one_warning(self):
+        # Series only in the current run are not gated, and say so: one
+        # WARN line names all of them. The pass/fail verdict is unchanged.
+        cur = dict(self.BASE, BM_new1=5.0e4, BM_new2=7.0)
+        proc = self.run_gate(bench_doc(self.BASE), bench_doc(cur))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        warns = [line for line in proc.stdout.splitlines()
+                 if line.startswith("WARN") and "without a baseline" in line]
+        self.assertEqual(len(warns), 1, proc.stdout)
+        self.assertIn("BM_new1, BM_new2", warns[0])
+        self.assertNotIn("BM_a", warns[0])
+        # No new series: no such warning.
+        proc = self.run_gate(bench_doc(self.BASE), bench_doc(self.BASE))
+        self.assertNotIn("without a baseline", proc.stdout)
+        # A regression in a common series still fails alongside it.
+        cur = dict(cur, BM_b=300.0)
+        proc = self.run_gate(bench_doc(self.BASE), bench_doc(cur))
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("without a baseline", proc.stdout)
+
     def test_wall_bound_uses_best_of_repetitions(self):
         # Only the LAST repetitions are slow (a noisy tail); min across
         # reps keeps the totals comparable, so the bound must not fire.

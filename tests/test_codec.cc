@@ -1,4 +1,4 @@
-// Tests for the density-adaptive bitmap codec: the representation rule,
+// Tests for the size-adaptive bitmap codec: the representation rule,
 // every kernel verified against the WAH oracle across all representation
 // pairs (randomized property sweep), serde round trips for v1/v2/v3
 // images, and corruption injection — a mutated image must surface as
@@ -43,6 +43,14 @@ WahBitmap WahFromU32(const std::vector<uint32_t>& positions, uint64_t size) {
   return WahBitmap::FromPositions(wide, size);
 }
 
+std::vector<uint32_t> RangePositions(uint64_t begin, uint64_t end) {
+  std::vector<uint32_t> out;
+  for (uint64_t p = begin; p < end; ++p) {
+    out.push_back(static_cast<uint32_t>(p));
+  }
+  return out;
+}
+
 ValueBitmap MakeRandom(uint64_t size, uint64_t ones, uint64_t seed) {
   return ValueBitmap::FromPositions(SamplePositions(size, ones, seed), size);
 }
@@ -61,20 +69,53 @@ const DensityClass kClasses[] = {
     {4096, BitmapRep::kWah},
 };
 
+// Run count of strictly increasing positions (the rule's third input).
+template <typename T>
+uint64_t RunsOf(const std::vector<T>& positions) {
+  uint64_t runs = 0;
+  for (size_t i = 0; i < positions.size(); ++i) {
+    runs += i == 0 || positions[i] != positions[i - 1] + 1;
+  }
+  return runs;
+}
+
 TEST(ChooseRep, DensityThresholds) {
+  // Scattered content (every set bit its own run): the density choice.
   // Homogeneous bitmaps stay on WAH regardless of density class.
-  EXPECT_EQ(ChooseBitmapRep(0, 1000), BitmapRep::kWah);
-  EXPECT_EQ(ChooseBitmapRep(1000, 1000), BitmapRep::kWah);
-  EXPECT_EQ(ChooseBitmapRep(0, 0), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(0, 1000, 0), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(1000, 1000, 1), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(0, 0, 0), BitmapRep::kWah);
   // Sparse boundary: ones <= size/64.
-  EXPECT_EQ(ChooseBitmapRep(15, 1000), BitmapRep::kArray);
-  EXPECT_EQ(ChooseBitmapRep(16, 1024), BitmapRep::kArray);
-  EXPECT_EQ(ChooseBitmapRep(17, 1024), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(15, 1000, 15), BitmapRep::kArray);
+  EXPECT_EQ(ChooseBitmapRep(16, 1024, 16), BitmapRep::kArray);
+  EXPECT_EQ(ChooseBitmapRep(17, 1024, 17), BitmapRep::kWah);
   // Dense boundary: ones >= (size+3)/4.
-  EXPECT_EQ(ChooseBitmapRep(255, 1024), BitmapRep::kWah);
-  EXPECT_EQ(ChooseBitmapRep(256, 1024), BitmapRep::kBitset);
+  EXPECT_EQ(ChooseBitmapRep(255, 1024, 255), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(256, 1024, 256), BitmapRep::kBitset);
   // Positions are uint32_t: huge bitmaps never choose the array.
-  EXPECT_EQ(ChooseBitmapRep(2, (uint64_t{1} << 33)), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(2, (uint64_t{1} << 33), 2), BitmapRep::kWah);
+}
+
+TEST(ChooseRep, ClusteredContentTakesWahWhenItsBoundIsSmaller) {
+  // Array side: WahBoundBytes(1) = 48 B against 4 B per position.
+  EXPECT_EQ(WahBoundBytes(1), 48u);
+  EXPECT_EQ(ChooseBitmapRep(15, 1000, 1), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(13, 1000, 1), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(12, 1000, 1), BitmapRep::kArray);  // tie
+  EXPECT_EQ(ChooseBitmapRep(15, 1000, 2), BitmapRep::kArray);  // 80 > 60
+  // One sorted-column value: 1000 rows of 1M in one run.
+  EXPECT_EQ(ChooseBitmapRep(1000, 1000000, 1), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(1000, 1000000, 1000), BitmapRep::kArray);
+  // Bitset side: against the bitset's words (6 words = 48 B at 384 bits).
+  EXPECT_EQ(ChooseBitmapRep(200, 384, 1), BitmapRep::kBitset);  // tie
+  EXPECT_EQ(ChooseBitmapRep(200, 448, 1), BitmapRep::kWah);     // 48 < 56
+  EXPECT_EQ(ChooseBitmapRep(256, 1024, 1), BitmapRep::kWah);
+  EXPECT_EQ(ChooseBitmapRep(512, 1024, 3), BitmapRep::kWah);    // 112 < 128
+  EXPECT_EQ(ChooseBitmapRep(512, 1024, 4), BitmapRep::kBitset); // 144 > 128
+  // The mixed regime is WAH whatever the runs.
+  EXPECT_EQ(ChooseBitmapRep(400, 4096, 400), BitmapRep::kWah);
+  // Huge bitmaps: the density stage picks WAH, so runs do not matter.
+  EXPECT_EQ(ChooseBitmapRep(2, (uint64_t{1} << 33), 1), BitmapRep::kWah);
 }
 
 TEST(ValueBitmap, ConstructorsAgreeAndAreCanonical) {
@@ -94,6 +135,47 @@ TEST(ValueBitmap, ConstructorsAgreeAndAreCanonical) {
     EXPECT_EQ(from_positions.CountOnes(), c.ones);
     EXPECT_TRUE(from_positions.Validate(kSweepSize).ok());
     EXPECT_EQ(from_positions.ToWah(), WahFromU32(positions, kSweepSize));
+  }
+  // Clustered content: runs, not density, pick the container. Each case
+  // is (positions, expected rep) over kSweepSize bits.
+  std::vector<uint32_t> short_runs, long_runs;  // 30 ones, density: array
+  for (uint32_t r = 0; r < 10; ++r) {
+    for (uint32_t i = 0; i < 3; ++i) short_runs.push_back(r * 400 + i);
+  }
+  for (uint32_t r = 0; r < 2; ++r) {
+    for (uint32_t i = 0; i < 15; ++i) long_runs.push_back(r * 2000 + 7 + i);
+  }
+  std::vector<uint32_t> dense_block;  // 2000 ones, density: bitset
+  for (uint32_t p = 1000; p < 3000; ++p) dense_block.push_back(p);
+  const std::pair<std::vector<uint32_t>, BitmapRep> clustered[] = {
+      {short_runs, BitmapRep::kArray},   // 10 runs: 336 B > 120 B
+      {long_runs, BitmapRep::kWah},      // 2 runs: 80 B < 120 B
+      {dense_block, BitmapRep::kWah},    // 1 run: 48 B < 512 B
+      {RangePositions(0, 60), BitmapRep::kWah},
+  };
+  for (const auto& [positions, rep] : clustered) {
+    ValueBitmap from_positions =
+        ValueBitmap::FromPositions(positions, kSweepSize);
+    ValueBitmap from_wah =
+        ValueBitmap::FromWah(WahFromU32(positions, kSweepSize));
+    std::vector<uint64_t> words((kSweepSize + 63) / 64, 0);
+    for (uint32_t p : positions) words[p / 64] |= uint64_t{1} << (p % 64);
+    ValueBitmap from_words = ValueBitmap::FromDenseWords(words, kSweepSize);
+    const std::string what = std::to_string(positions.size()) + " ones in " +
+                             std::to_string(RunsOf(positions)) + " runs";
+    EXPECT_EQ(from_positions.rep(), rep) << what;
+    EXPECT_EQ(from_positions.rep(),
+              ChooseBitmapRep(positions.size(), kSweepSize,
+                              RunsOf(positions)))
+        << what;
+    EXPECT_EQ(from_positions, from_wah) << what;
+    EXPECT_EQ(from_positions, from_words) << what;
+    EXPECT_TRUE(from_positions.Validate(kSweepSize).ok()) << what;
+    EXPECT_EQ(from_positions.ToWah(), WahFromU32(positions, kSweepSize));
+    if (rep == BitmapRep::kWah) {
+      EXPECT_LE(from_positions.SizeBytes(), WahBoundBytes(RunsOf(positions)))
+          << what;
+    }
   }
 }
 
@@ -200,16 +282,10 @@ TEST(CodecKernels, FilterMatchesCompressedOracle) {
 
 const uint64_t kMoveSizes[] = {0, 1, 62, 63, 64, 65, 127, 4095, 65537};
 
-std::vector<uint32_t> RangePositions(uint64_t begin, uint64_t end) {
-  std::vector<uint32_t> out;
-  for (uint64_t p = begin; p < end; ++p) {
-    out.push_back(static_cast<uint32_t>(p));
-  }
-  return out;
-}
-
 // Inputs covering every container: all-zero and all-one fills, array,
-// mixed WAH, bitset, and a clustered run (WAH with 1-fills).
+// mixed WAH, bitset, a clustered run (WAH with 1-fills), and sparse
+// clustered content the density stage alone would store as an array: one
+// short run, and runs of 16 every 1024 bits.
 std::vector<ValueBitmap> MoveInputs(uint64_t size, uint64_t seed) {
   std::vector<ValueBitmap> out;
   out.push_back(ValueBitmap::FromPositions({}, size));
@@ -219,6 +295,15 @@ std::vector<ValueBitmap> MoveInputs(uint64_t size, uint64_t seed) {
   }
   out.push_back(ValueBitmap::FromPositions(
       RangePositions(size / 3, size / 3 + size / 8), size));
+  out.push_back(ValueBitmap::FromPositions(
+      RangePositions(size / 2, size / 2 + size / 100), size));
+  std::vector<uint32_t> strided;
+  for (uint64_t base = 0; base + 16 <= size; base += 1024) {
+    for (uint64_t i = 0; i < 16; ++i) {
+      strided.push_back(static_cast<uint32_t>(base + i));
+    }
+  }
+  out.push_back(ValueBitmap::FromPositions(std::move(strided), size));
   return out;
 }
 
@@ -245,7 +330,8 @@ void ExpectMoveResult(const ValueBitmap& got,
                       const std::string& what) {
   EXPECT_EQ(got.size(), size) << what;
   EXPECT_EQ(got.SetPositions(), want) << what;
-  EXPECT_EQ(got.rep(), ChooseBitmapRep(want.size(), size)) << what;
+  EXPECT_EQ(got.rep(), ChooseBitmapRep(want.size(), size, RunsOf(want)))
+      << what;
   EXPECT_TRUE(got.Validate(size).ok()) << what << ": "
                                        << got.Validate(size).ToString();
 }
@@ -327,11 +413,60 @@ TEST(ValueBitmap, FromRawPartsRejectsNonCanonical) {
   EXPECT_FALSE(ValueBitmap::FromRawParts(BitmapRep::kBitset, 100, {},
                                          WahBitmap(), slack)
                    .ok());
+  // Clustered: 60 ones in one run are kWah (48 B) under the size rule,
+  // though the density stage alone picks the array (240 B).
+  const std::vector<uint32_t> run = RangePositions(100, 160);
+  EXPECT_TRUE(ValueBitmap::FromRawParts(BitmapRep::kArray, kSweepSize, run,
+                                        WahBitmap(), {})
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(ValueBitmap::FromRawParts(BitmapRep::kWah, kSweepSize, {},
+                                        WahFromU32(run, kSweepSize), {})
+                  .ok());
   // A canonical payload round-trips.
   std::vector<uint32_t> sparse = {1, 2, 3};
   EXPECT_TRUE(ValueBitmap::FromRawParts(BitmapRep::kArray, kSweepSize, sparse,
                                         WahBitmap(), {})
                   .ok());
+}
+
+TEST(ValueBitmap, FromLegacyRawPartsRechoosesDensityTags) {
+  // The density stage's tag for clustered content loads, re-encoded into
+  // the canonical container.
+  const std::vector<uint32_t> run = RangePositions(100, 160);
+  ValueBitmap from_array = ValueBitmap::FromLegacyRawParts(
+                               BitmapRep::kArray, kSweepSize, run,
+                               WahBitmap(), {})
+                               .ValueOrDie();
+  EXPECT_EQ(from_array.rep(), BitmapRep::kWah);
+  EXPECT_EQ(from_array, ValueBitmap::FromPositions(run, kSweepSize));
+  std::vector<uint64_t> block(kSweepSize / 64, 0);
+  for (size_t w = 16; w < 48; ++w) block[w] = ~uint64_t{0};  // one run
+  ValueBitmap from_bitset = ValueBitmap::FromLegacyRawParts(
+                                BitmapRep::kBitset, kSweepSize, {},
+                                WahBitmap(), block)
+                                .ValueOrDie();
+  EXPECT_EQ(from_bitset.rep(), BitmapRep::kWah);
+  EXPECT_EQ(from_bitset,
+            ValueBitmap::FromPositions(RangePositions(1024, 3072), kSweepSize));
+  EXPECT_TRUE(from_bitset.Validate(kSweepSize).ok());
+  // Canonical tags load unchanged; a tag neither stage picks is still
+  // corruption, as are structural faults.
+  EXPECT_EQ(ValueBitmap::FromLegacyRawParts(BitmapRep::kArray, kSweepSize,
+                                            {1, 2, 3}, WahBitmap(), {})
+                .ValueOrDie()
+                .rep(),
+            BitmapRep::kArray);
+  std::vector<uint64_t> three(kSweepSize / 64, 0);
+  three[0] = 0b111;
+  EXPECT_TRUE(ValueBitmap::FromLegacyRawParts(BitmapRep::kBitset, kSweepSize,
+                                              {}, WahBitmap(), three)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(ValueBitmap::FromLegacyRawParts(BitmapRep::kArray, kSweepSize,
+                                              {9, 3}, WahBitmap(), {})
+                  .status()
+                  .IsCorruption());
 }
 
 // ---- Serde ---------------------------------------------------------------
@@ -383,6 +518,53 @@ TEST(CodecSerde, OlderImageVersionsStayReadable) {
       EXPECT_TRUE(col->bitmap(v).Validate(col->rows()).ok());
     }
   }
+}
+
+TEST(CodecSerde, V3ImageWithDensityRuleTagsLoadsCanonical) {
+  // A v3 image as written while the rule was density-only: a column whose
+  // value 0 is one run of 60 rows tagged kArray and whose value 1 (the
+  // other 4036 rows, two runs) is tagged kBitset. Both are kWah now.
+  const std::vector<uint32_t> run = RangePositions(100, 160);
+  std::vector<uint64_t> rest(kSweepSize / 64, ~uint64_t{0});
+  for (uint32_t p : run) rest[p / 64] &= ~(uint64_t{1} << (p % 64));
+  BinaryWriter w;
+  w.U32(kCodsFileMagic);
+  w.U32(kCodsFileVersionV3);
+  w.U32(1);  // tables
+  w.Str("C");
+  w.U64(kSweepSize);
+  WriteSchema(Schema({{"c", DataType::kInt64, false}}, {}), &w);
+  w.U8(static_cast<uint8_t>(DataType::kInt64));
+  w.U8(0);  // bitmap column
+  w.U64(kSweepSize);
+  Dictionary dict;
+  dict.GetOrInsert(Value(int64_t{1}));
+  dict.GetOrInsert(Value(int64_t{2}));
+  WriteDictionary(dict, &w);
+  w.U32(2);  // value bitmaps
+  w.U8(static_cast<uint8_t>(BitmapRep::kArray));
+  w.U32(static_cast<uint32_t>(run.size()));
+  for (uint32_t p : run) w.U32(p);
+  w.U8(static_cast<uint8_t>(BitmapRep::kBitset));
+  w.U32(static_cast<uint32_t>(rest.size()));
+  for (uint64_t word : rest) w.U64(word);
+  std::vector<uint8_t> image =
+      ::cods::testing::WithImageFooter(w.TakeBuffer(), /*wal_lsn=*/8);
+
+  uint64_t lsn = 0;
+  Catalog back = DeserializeCatalog(image, &lsn).ValueOrDie();
+  EXPECT_EQ(lsn, 8u);
+  const Column& c = *back.GetTable("C").ValueOrDie()->column(0);
+  EXPECT_EQ(c.bitmap(0).rep(), BitmapRep::kWah);
+  EXPECT_EQ(c.bitmap(1).rep(), BitmapRep::kWah);
+  EXPECT_EQ(c.bitmap(0), ValueBitmap::FromPositions(run, kSweepSize));
+  EXPECT_EQ(c.bitmap(1).CountOnes(), kSweepSize - run.size());
+  EXPECT_TRUE(c.ValidateInvariants().ok());
+  // Re-saving writes the canonical tags, and that image is a fixed point.
+  std::vector<uint8_t> resaved = SerializeCatalogV3(back, 8);
+  EXPECT_NE(resaved, image);
+  EXPECT_EQ(SerializeCatalogV3(DeserializeCatalog(resaved).ValueOrDie(), 8),
+            resaved);
 }
 
 TEST(CodecSerde, V3BitFlipsAreDetected) {

@@ -199,5 +199,43 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.distinct);
     });
 
+// ---- Sorted-declared tables ------------------------------------------------
+//
+// A SORTED declaration no longer selects an encoding: the operators see
+// the same codec columns as for the unsorted-declared twin, and answer
+// identically.
+
+TEST(SortedDecompose, DistinctionOnSortedKeyIsFirstOfRun) {
+  auto r = ::cods::testing::SortedFdTable(1000, 50, /*declare_sorted=*/true);
+  auto positions = DistinctionPositions(*r, {"K"}).ValueOrDie();
+  ASSERT_EQ(positions.size(), 50u);
+  // K = row * 50 / 1000: value k's run starts at row 20k.
+  for (uint64_t k = 0; k < 50; ++k) EXPECT_EQ(positions[k], 20 * k);
+  auto twin = ::cods::testing::SortedFdTable(1000, 50, false);
+  EXPECT_EQ(positions, DistinctionPositions(*twin, {"K"}).ValueOrDie());
+}
+
+TEST(SortedDecompose, MatchesUnsortedTwinBitmapForBitmap) {
+  auto r = ::cods::testing::SortedFdTable(2000, 40, true);
+  auto twin = ::cods::testing::SortedFdTable(2000, 40, false);
+  auto got = CodsDecompose(*r, "S", {"K", "V"}, {}, "T", {"K", "P"}, {"K"})
+                 .ValueOrDie();
+  auto want =
+      CodsDecompose(*twin, "S", {"K", "V"}, {}, "T", {"K", "P"}, {"K"})
+          .ValueOrDie();
+  ExpectSameContent(*got.s, *want.s);
+  ExpectSameContent(*got.t, *want.t);
+  EXPECT_TRUE(got.t->schema().column(0).sorted);
+  EXPECT_TRUE(got.t->ValidateInvariants().ok());
+  // The declaration selects no encoding: both outputs hold the twin's
+  // bitmaps, container for container.
+  for (size_t c = 0; c < got.s->num_columns(); ++c) {
+    EXPECT_EQ(got.s->column(c)->bitmaps(), want.s->column(c)->bitmaps());
+  }
+  for (size_t c = 0; c < got.t->num_columns(); ++c) {
+    EXPECT_EQ(got.t->column(c)->bitmaps(), want.t->column(c)->bitmaps());
+  }
+}
+
 }  // namespace
 }  // namespace cods

@@ -243,5 +243,32 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.distinct);
     });
 
+// A SORTED declaration no longer selects an encoding: MERGE of the
+// decomposition of a sorted-declared table restores it, by both the
+// key–FK and the general path.
+TEST(SortedMerge, DecomposedSortedTableMergesBack) {
+  auto r = ::cods::testing::SortedFdTable(2000, 40, /*declare_sorted=*/true);
+  auto dec = CodsDecompose(*r, "S", {"K", "V"}, {}, "T", {"K", "P"}, {"K"})
+                 .ValueOrDie();
+  auto merged = CodsMerge(*dec.s, *dec.t, {"K"}, {}, "R2").ValueOrDie();
+  EXPECT_TRUE(merged.used_key_fk);
+  EXPECT_EQ(::cods::testing::SortedRows(*merged.table),
+            ::cods::testing::SortedRows(*r));
+  auto general =
+      CodsMergeGeneral(*dec.s, *dec.t, {"K"}, {}, "R3").ValueOrDie();
+  EXPECT_EQ(::cods::testing::SortedRows(*general),
+            ::cods::testing::SortedRows(*r));
+  // And the same as merging the unsorted-declared twin's decomposition.
+  auto twin = ::cods::testing::SortedFdTable(2000, 40, false);
+  auto twin_dec =
+      CodsDecompose(*twin, "S", {"K", "V"}, {}, "T", {"K", "P"}, {"K"})
+          .ValueOrDie();
+  ExpectSameContent(
+      *merged.table,
+      *CodsMerge(*twin_dec.s, *twin_dec.t, {"K"}, {}, "R2")
+           .ValueOrDie()
+           .table);
+}
+
 }  // namespace
 }  // namespace cods

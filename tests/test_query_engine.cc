@@ -10,6 +10,7 @@
 #include "gtest/gtest.h"
 #include "plan/staged_catalog.h"
 #include "query/join.h"
+#include "smo/parser.h"
 #include "storage/value_compare.h"
 #include "test_util.h"
 #include "workload/generator.h"
@@ -740,6 +741,114 @@ TEST(QueryEngine, SnapshotQueriesMatchQuiescedCatalog) {
   ASSERT_NE(still.table, nullptr);
   EXPECT_EQ(live.table->Materialize(), still.table->Materialize());
   EXPECT_EQ(live.ToString(), still.ToString());
+}
+
+// ---- Sorted-declared tables ------------------------------------------------
+
+// CREATE TABLE ... SORTED once produced run-length-encoded columns that
+// the query layer rejected ("predicates require a WAH-encoded column").
+// A sorted-declared table now answers every query shape — COUNT, SELECT
+// WHERE, GROUP BY, ORDER BY and JOIN on the sorted column — exactly like
+// its unsorted-declared twin.
+TEST(QueryEngine, SortedDeclaredTableAnswersLikeUnsortedTwin) {
+  auto schema_of = [](const std::string& sql) {
+    return ParseSmoStatement(sql).ValueOrDie().schema;
+  };
+  const Schema fact_sorted = schema_of(
+      "CREATE TABLE R (L INT64 SORTED, V INT64, S STRING SORTED);");
+  const Schema fact_plain =
+      schema_of("CREATE TABLE R (L INT64, V INT64, S STRING);");
+  const Schema dim_sorted =
+      schema_of("CREATE TABLE D (L INT64 SORTED, name STRING);");
+  const Schema dim_plain = schema_of("CREATE TABLE D (L INT64, name STRING);");
+  ASSERT_TRUE(fact_sorted.column(0).sorted);
+  ASSERT_TRUE(fact_sorted.column(2).sorted);
+  ASSERT_FALSE(fact_plain.column(0).sorted);
+  auto catalog_of = [](const Schema& fact, const Schema& dim) {
+    std::vector<Row> fact_rows, dim_rows;
+    for (int64_t r = 0; r < 3000; ++r) {
+      fact_rows.push_back({Value(r / 30), Value(r % 7),
+                           Value("s" + std::to_string(r / 500))});
+    }
+    for (int64_t l = 0; l < 100; l += 2) {
+      dim_rows.push_back({Value(l), Value("n" + std::to_string(l))});
+    }
+    return ::cods::testing::CatalogOf(
+        {MakeTable("R", fact, fact_rows), MakeTable("D", dim, dim_rows)});
+  };
+  Catalog sorted = catalog_of(fact_sorted, dim_sorted);
+  Catalog plain = catalog_of(fact_plain, dim_plain);
+  QueryEngine on_sorted(&sorted), on_plain(&plain);
+  for (const char* sql : {
+           "SELECT COUNT(*) FROM R;",
+           "SELECT COUNT(*) FROM R WHERE L >= 10 AND L < 20;",
+           "SELECT COUNT(*) FROM R WHERE S = 's3' OR L IN (1, 2, 99);",
+           "SELECT L, V FROM R WHERE L = 7;",
+           "SELECT * FROM R WHERE L BETWEEN 40 AND 42 AND NOT S = 's0';",
+           "SELECT L, COUNT(*), SUM(V) FROM R GROUP BY L;",
+           "SELECT S, MIN(L), MAX(L) FROM R WHERE V > 2 GROUP BY S;",
+           "SELECT L, V FROM R WHERE V = 3 ORDER BY L DESC LIMIT 25;",
+           "SELECT * FROM R ORDER BY S;",
+           "SELECT * FROM R JOIN D ON R.L = D.L WHERE D.name = 'n8';",
+           "SELECT R.V, D.name FROM R JOIN D ON R.L = D.L WHERE R.V = 1;",
+       }) {
+    const QueryRequest request = ParseStatement(sql).ValueOrDie().query;
+    auto got = on_sorted.Execute(request);
+    auto want = on_plain.Execute(request);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+    EXPECT_EQ(got->verb, want->verb) << sql;
+    EXPECT_EQ(got->count, want->count) << sql;
+    EXPECT_EQ(got->groups, want->groups) << sql;
+    ASSERT_EQ(got->table == nullptr, want->table == nullptr) << sql;
+    if (got->table != nullptr) {
+      // Same columns; only the SORTED declarations differ.
+      EXPECT_TRUE(got->table->schema().SameLayout(want->table->schema()))
+          << sql;
+      EXPECT_EQ(got->table->Materialize(), want->table->Materialize()) << sql;
+      EXPECT_TRUE(got->table->ValidateInvariants().ok()) << sql;
+    }
+  }
+}
+
+TEST(GroupBy, CountMatchesValueCounts) {
+  // The sorted column's per-value counts, and GROUP BY COUNT(*) over it.
+  auto r = ::cods::testing::SortedFdTable(1000, 10, /*declare_sorted=*/true);
+  const Column& k = *r->column(0);
+  auto groups =
+      QueryEngine::GroupByRows(*r, "K", {AggregateSpec::Count()}, nullptr)
+          .ValueOrDie();
+  ASSERT_EQ(k.distinct_count(), 10u);
+  ASSERT_EQ(groups.size(), 10u);
+  uint64_t total = 0;
+  for (Vid vid = 0; vid < k.distinct_count(); ++vid) {
+    EXPECT_EQ(k.ValueCount(vid), 100u) << vid;
+    EXPECT_EQ(groups[vid],
+              (GroupRow{k.dict().value(vid), {Value(int64_t{100})}}));
+    total += k.ValueCount(vid);
+  }
+  EXPECT_EQ(total, 1000u);
+}
+
+TEST(GroupBy, SumMatchesNaiveAggregation) {
+  auto r = ::cods::testing::RandomFdTable(3000, 30, 5);
+  auto sums = QueryEngine::GroupBySumRows(*r, "K", "V", nullptr).ValueOrDie();
+  // Naive oracle over materialized rows.
+  std::map<Value, double> expected;
+  for (const Row& row : r->Materialize()) {
+    expected[row[0]] += static_cast<double>(row[1].int64());
+  }
+  ASSERT_EQ(sums.size(), expected.size());
+  for (const auto& [value, sum] : sums) {
+    EXPECT_DOUBLE_EQ(sum, expected.at(value)) << value.ToString();
+  }
+}
+
+TEST(GroupBy, SumRejectsStringMeasure) {
+  auto r = Figure1TableR();
+  EXPECT_TRUE(QueryEngine::GroupBySumRows(*r, "Employee", "Skill", nullptr)
+                  .status()
+                  .IsTypeError());
 }
 
 }  // namespace

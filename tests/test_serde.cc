@@ -90,20 +90,30 @@ TEST(DictionarySerde, PreservesVidOrder) {
   EXPECT_EQ(back.value(2), Value(1.5));
 }
 
-TEST(ColumnSerde, WahAndRleRoundTrip) {
+TEST(ColumnSerde, ScatteredAndSortedRoundTripAtEveryVersion) {
   Dictionary dict;
   dict.GetOrInsert(Value(int64_t{10}));
   dict.GetOrInsert(Value(int64_t{20}));
-  std::vector<Vid> vids = {0, 0, 1, 0, 1, 1, 1, 0};
-  for (auto col : {Column::FromVids(DataType::kInt64, dict, vids),
-                   Column::FromVidsRle(DataType::kInt64, dict, vids)}) {
-    BinaryWriter w;
-    WriteColumn(*col, &w);
-    BinaryReader r(w.buffer());
-    auto back = ReadColumn(&r).ValueOrDie();
-    EXPECT_EQ(back->encoding(), col->encoding());
-    EXPECT_EQ(back->DecodeVids(), vids);
-    EXPECT_TRUE(back->ValidateInvariants().ok());
+  dict.GetOrInsert(Value(int64_t{30}));
+  std::vector<Vid> scattered, sorted;
+  for (Vid v = 0; v < 3; ++v) sorted.insert(sorted.end(), 3000, v);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    scattered.push_back(static_cast<Vid>((i * 7) % 3));
+  }
+  for (const auto& vids : {scattered, sorted}) {
+    auto col = Column::FromVids(DataType::kInt64, dict, vids);
+    for (uint32_t version :
+         {kCodsFileVersion, kCodsFileVersionV2, kCodsFileVersionV3}) {
+      BinaryWriter w;
+      WriteColumn(*col, &w, version);
+      EXPECT_EQ(w.buffer()[1], 0u);  // the encoding byte: bitmap column
+      BinaryReader r(w.buffer());
+      auto back = ReadColumn(&r, version).ValueOrDie();
+      EXPECT_TRUE(r.AtEnd());
+      EXPECT_EQ(back->DecodeVids(), vids);
+      EXPECT_EQ(back->bitmaps(), col->bitmaps());
+      EXPECT_TRUE(back->ValidateInvariants().ok());
+    }
   }
 }
 
@@ -111,7 +121,7 @@ TEST(TableSerde, RoundTripWithKeysAndMixedTypes) {
   Schema schema({{"id", DataType::kInt64, false},
                  {"name", DataType::kString, false},
                  {"score", DataType::kDouble, false},
-                 {"grade", DataType::kInt64, true}},  // sorted → RLE
+                 {"grade", DataType::kInt64, true}},  // declared sorted
                 {"id"});
   TableBuilder builder("mixed", schema);
   for (int64_t i = 0; i < 500; ++i) {
@@ -127,8 +137,122 @@ TEST(TableSerde, RoundTripWithKeysAndMixedTypes) {
   auto back = ReadTable(&r).ValueOrDie();
   EXPECT_EQ(back->name(), "mixed");
   EXPECT_TRUE(back->schema().IsKey({"id"}));
-  EXPECT_EQ(back->column(3)->encoding(), ColumnEncoding::kRle);
+  EXPECT_TRUE(back->schema().column(3).sorted);
+  // The sorted column's values are one run each: single-fill WAH, and
+  // they come back container for container.
+  EXPECT_EQ(back->column(3)->bitmaps(), table->column(3)->bitmaps());
+  for (const ValueBitmap& vb : back->column(3)->bitmaps()) {
+    EXPECT_EQ(vb.rep(), BitmapRep::kWah) << vb.ToString();
+  }
   ExpectSameContent(*table, *back);
+}
+
+// ---- Legacy images: RLE columns -------------------------------------------
+//
+// Sorted columns used to be written run-length encoded (column encoding
+// byte 1). The writer no longer emits that form, so these images are
+// assembled by hand: one table "L" with one INT64 column "g" declared
+// SORTED, whose dictionary holds `dict_size` values.
+
+std::vector<uint8_t> LegacyRleImage(
+    uint32_t version, uint64_t rows, uint32_t dict_size,
+    const std::vector<std::pair<uint32_t, uint64_t>>& runs,
+    uint32_t run_count, uint8_t encoding = 1) {
+  BinaryWriter w;
+  w.U32(kCodsFileMagic);
+  w.U32(version);
+  w.U32(1);  // tables
+  w.Str("L");
+  w.U64(rows);
+  WriteSchema(Schema({{"g", DataType::kInt64, true}}, {}), &w);
+  w.U8(static_cast<uint8_t>(DataType::kInt64));
+  w.U8(encoding);
+  w.U64(rows);
+  Dictionary dict;
+  for (uint32_t v = 0; v < dict_size; ++v) {
+    dict.GetOrInsert(Value(int64_t{100} * v));
+  }
+  WriteDictionary(dict, &w);
+  w.U32(run_count);
+  for (const auto& [vid, length] : runs) {
+    w.U32(vid);
+    w.U64(length);
+  }
+  std::vector<uint8_t> image = w.TakeBuffer();
+  if (version == kCodsFileVersion) return image;
+  return ::cods::testing::WithImageFooter(std::move(image), /*wal_lsn=*/3);
+}
+
+std::vector<uint8_t> LegacyRleImage(
+    uint32_t version, uint64_t rows, uint32_t dict_size,
+    const std::vector<std::pair<uint32_t, uint64_t>>& runs) {
+  return LegacyRleImage(version, rows, dict_size, runs,
+                        static_cast<uint32_t>(runs.size()));
+}
+
+TEST(LegacyImageSerde, RleColumnLoadsAsCodecColumnAtEveryVersion) {
+  // Value 0 recurs: two runs, one bitmap.
+  const std::vector<std::pair<uint32_t, uint64_t>> runs = {
+      {0, 40000}, {1, 500}, {2, 59000}, {0, 500}};
+  std::vector<Vid> want;
+  for (const auto& [vid, length] : runs) want.insert(want.end(), length, vid);
+  for (uint32_t version :
+       {kCodsFileVersion, kCodsFileVersionV2, kCodsFileVersionV3}) {
+    Catalog back =
+        DeserializeCatalog(LegacyRleImage(version, want.size(), 3, runs))
+            .ValueOrDie();
+    auto table = back.GetTable("L").ValueOrDie();
+    EXPECT_TRUE(table->schema().column(0).sorted);
+    const Column& g = *table->column(0);
+    EXPECT_EQ(g.DecodeVids(), want) << "v" << version;
+    EXPECT_EQ(g.dict().value(2), Value(int64_t{200}));
+    EXPECT_TRUE(g.ValidateInvariants().ok());
+    // 500 rows of 100000 in one run: an array by density, WAH by size.
+    EXPECT_EQ(g.bitmap(1).rep(), BitmapRep::kWah);
+    EXPECT_LE(g.bitmap(1).SizeBytes(), WahBoundBytes(1));
+    // A re-save writes the bitmap form, which reloads identically.
+    std::vector<uint8_t> v3 = SerializeCatalogV3(back, 0);
+    Catalog again = DeserializeCatalog(v3).ValueOrDie();
+    EXPECT_EQ(again.GetTable("L").ValueOrDie()->column(0)->bitmaps(),
+              g.bitmaps());
+    EXPECT_EQ(SerializeCatalogV3(again, 0), v3);
+  }
+}
+
+TEST(LegacyImageSerde, RleCorruptionsAreCorruption) {
+  using Runs = std::vector<std::pair<uint32_t, uint64_t>>;
+  for (uint32_t version :
+       {kCodsFileVersion, kCodsFileVersionV2, kCodsFileVersionV3}) {
+    auto load = [version](uint64_t rows, const Runs& runs) {
+      return DeserializeCatalog(LegacyRleImage(version, rows, 2, runs))
+          .status();
+    };
+    Status vid_outside = load(10, {{0, 5}, {2, 5}});
+    EXPECT_TRUE(vid_outside.IsCorruption()) << vid_outside.ToString();
+    EXPECT_NE(vid_outside.message().find("vid outside dictionary"),
+              std::string::npos);
+    Status zero_length = load(10, {{0, 10}, {1, 0}});
+    EXPECT_TRUE(zero_length.IsCorruption()) << zero_length.ToString();
+    EXPECT_NE(zero_length.message().find("zero-length"), std::string::npos);
+    for (const Runs& runs : {Runs{{0, 4}, {1, 5}}, Runs{{0, 4}, {1, 7}},
+                             Runs{{0, 4}, {1, ~uint64_t{0}}}}) {
+      Status length = load(10, runs);
+      EXPECT_TRUE(length.IsCorruption()) << length.ToString();
+      EXPECT_NE(length.message().find("does not match row count"),
+                std::string::npos);
+    }
+    Status implausible =
+        DeserializeCatalog(LegacyRleImage(version, 10, 2, {}, ~uint32_t{0}))
+            .status();
+    EXPECT_TRUE(implausible.IsCorruption()) << implausible.ToString();
+    EXPECT_NE(implausible.message().find("implausible RLE run count"),
+              std::string::npos);
+    // An encoding byte past the RLE one is unknown.
+    EXPECT_TRUE(DeserializeCatalog(LegacyRleImage(version, 10, 2, {{0, 10}},
+                                                  1, /*encoding=*/2))
+                    .status()
+                    .IsCorruption());
+  }
 }
 
 TEST(CatalogSerde, WholeDatabaseRoundTrip) {

@@ -220,5 +220,45 @@ TEST(RenameColumn, SchemaOnlyChange) {
   EXPECT_FALSE(RenameColumnOp(*r, "Address", "Skill").ok());
 }
 
+// A SORTED declaration no longer selects an encoding: PARTITION and
+// UNION of a sorted-declared table match the unsorted-declared twin, and
+// each value of the sorted column — one run of 20 rows, sparse enough
+// that density alone would pick an array — stays WAH on both sides and
+// after the union.
+TEST(SortedSimpleOps, PartitionAndUnionMatchUnsortedTwin) {
+  auto r = ::cods::testing::SortedFdTable(20000, 1000, /*declare_sorted=*/true);
+  auto twin = ::cods::testing::SortedFdTable(20000, 1000, false);
+  auto part = PartitionTableOp(*r, "Low", "High", "K", CompareOp::kLt,
+                               Value(int64_t{500}))
+                  .ValueOrDie();
+  auto twin_part = PartitionTableOp(*twin, "Low", "High", "K",
+                                    CompareOp::kLt, Value(int64_t{500}))
+                       .ValueOrDie();
+  EXPECT_EQ(part.matching->rows(), 10000u);
+  EXPECT_EQ(part.rest->rows(), 10000u);
+  ExpectSameContent(*part.matching, *twin_part.matching);
+  ExpectSameContent(*part.rest, *twin_part.rest);
+  EXPECT_TRUE(part.matching->schema().column(0).sorted);
+  for (const auto& side : {part.matching, part.rest}) {
+    const Column& k = *side->column(0);
+    for (Vid v = 0; v < k.distinct_count(); ++v) {
+      const ValueBitmap& vb = k.bitmap(v);
+      EXPECT_TRUE(vb.rep() == BitmapRep::kWah) << vb.ToString();
+    }
+  }
+  auto u = UnionTablesOp(*part.matching, *part.rest, "U", nullptr)
+               .ValueOrDie();
+  EXPECT_EQ(SortedRows(*u), SortedRows(*r));
+  auto twin_u = UnionTablesOp(*twin_part.matching, *twin_part.rest, "U",
+                              nullptr)
+                    .ValueOrDie();
+  ExpectSameContent(*u, *twin_u);
+  EXPECT_TRUE(u->ValidateInvariants().ok());
+  EXPECT_EQ(u->column(0)->bitmaps(), r->column(0)->bitmaps());
+  for (const ValueBitmap& vb : u->column(0)->bitmaps()) {
+    EXPECT_EQ(vb.rep(), BitmapRep::kWah) << vb.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace cods

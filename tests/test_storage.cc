@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "common/random.h"
 #include "gtest/gtest.h"
 #include "storage/catalog.h"
 #include "storage/scanner.h"
@@ -87,22 +88,117 @@ TEST(Column, FromVidsBuildsPartitioningBitmaps) {
   EXPECT_TRUE(col->ValidateInvariants().ok());
 }
 
-TEST(Column, RleEncodingRoundTrip) {
+// ---- Run-shaped (sorted) columns --------------------------------------
+//
+// A sorted column has no encoding of its own: each value is one run,
+// which the codec stores as a WAH fill (the paper's §2.2 run-length
+// encoding of sorted columns).
+
+Dictionary IntDictionary(uint32_t values) {
+  Dictionary dict;
+  for (uint32_t v = 0; v < values; ++v) dict.GetOrInsert(Value(int64_t{v}));
+  return dict;
+}
+
+// Number of 1-fill code words in a WAH bitmap.
+size_t OneFills(const WahBitmap& wah) {
+  size_t fills = 0;
+  for (uint64_t w : wah.words()) {
+    fills += wah::IsFill(w) && wah::FillValue(w);
+  }
+  return fills;
+}
+
+TEST(SortedColumn, RunsRoundTripWithPointLookups) {
   Dictionary dict;
   dict.GetOrInsert(Value("a"));
   dict.GetOrInsert(Value("b"));
   std::vector<Vid> vids = {0, 0, 0, 1, 1};
-  auto col = Column::FromVidsRle(DataType::kString, dict, vids);
-  EXPECT_EQ(col->encoding(), ColumnEncoding::kRle);
+  auto col = Column::FromVids(DataType::kString, dict, vids);
   EXPECT_EQ(col->DecodeVids(), vids);
   EXPECT_EQ(col->GetValue(4), Value("b"));
   EXPECT_EQ(col->ValueCount(0), 3u);
   EXPECT_TRUE(col->ValidateInvariants().ok());
+  // Run boundaries: value 1 for 100 rows, 2 for 50, 1 again for 1.
+  std::vector<Vid> runs(100, 1);
+  runs.insert(runs.end(), 50, 2);
+  runs.push_back(1);
+  auto bounded = Column::FromVids(DataType::kInt64, IntDictionary(3), runs);
+  EXPECT_EQ(bounded->rows(), 151u);
+  for (uint64_t row : {0, 99, 150}) {
+    EXPECT_EQ(bounded->GetValue(row), Value(int64_t{1})) << row;
+  }
+  for (uint64_t row : {100, 149}) {
+    EXPECT_EQ(bounded->GetValue(row), Value(int64_t{2})) << row;
+  }
+  EXPECT_EQ(bounded->ValueCount(0), 0u);
+  EXPECT_EQ(bounded->ValueCount(1), 101u);
+}
 
-  auto as_bitmap = col->WithEncoding(ColumnEncoding::kWahBitmap);
-  EXPECT_EQ(as_bitmap->encoding(), ColumnEncoding::kWahBitmap);
-  EXPECT_EQ(as_bitmap->DecodeVids(), vids);
-  EXPECT_TRUE(as_bitmap->ValidateInvariants().ok());
+TEST(SortedColumn, EmptyAndRecurringValues) {
+  auto empty = Column::FromVids(DataType::kInt64, IntDictionary(0), {});
+  EXPECT_EQ(empty->rows(), 0u);
+  EXPECT_TRUE(empty->DecodeVids().empty());
+  EXPECT_TRUE(empty->ValidateInvariants().ok());
+  // Equal neighbours share a run; a recurring value is one bitmap with
+  // one run per occurrence.
+  std::vector<Vid> vids = {0, 0, 1, 0};
+  auto col = Column::FromVids(DataType::kInt64, IntDictionary(2), vids);
+  EXPECT_EQ(col->DecodeVids(), vids);
+  EXPECT_EQ(col->bitmap(0).SetPositions(), (std::vector<uint64_t>{0, 1, 3}));
+}
+
+TEST(SortedColumn, RandomRunsRoundTrip) {
+  Rng rng(17);
+  std::vector<Vid> vids;
+  for (int run = 0; run < 200; ++run) {
+    Vid v = static_cast<Vid>(rng.Uniform(0, 4));
+    vids.insert(vids.end(), static_cast<size_t>(rng.Uniform(1, 20)), v);
+  }
+  auto col = Column::FromVids(DataType::kInt64, IntDictionary(5), vids);
+  EXPECT_EQ(col->rows(), vids.size());
+  EXPECT_EQ(col->DecodeVids(), vids);
+  EXPECT_TRUE(col->ValidateInvariants().ok());
+  for (int i = 0; i < 100; ++i) {
+    uint64_t row = static_cast<uint64_t>(
+        rng.Uniform(0, static_cast<int64_t>(vids.size()) - 1));
+    EXPECT_EQ(col->GetValue(row), Value(int64_t{vids[row]})) << row;
+  }
+}
+
+TEST(SortedColumn, ValuesAreSingleFillWahBitmaps) {
+  std::vector<Vid> sorted;
+  for (Vid v = 0; v < 10; ++v) sorted.insert(sorted.end(), 1000, v);
+  auto col = Column::FromVids(DataType::kInt64, IntDictionary(10), sorted);
+  uint64_t bitmap_bytes = 0;
+  for (const ValueBitmap& vb : col->bitmaps()) {
+    ASSERT_EQ(vb.rep(), BitmapRep::kWah) << vb.ToString();
+    EXPECT_EQ(OneFills(vb.wah()), 1u) << vb.ToString();
+    EXPECT_LE(vb.SizeBytes(), WahBoundBytes(1));
+    bitmap_bytes += vb.SizeBytes();
+  }
+  // 10 runs in at most 48 B each, against 4 B per row uncompressed.
+  EXPECT_LT(bitmap_bytes, sorted.size() * sizeof(uint32_t) / 50);
+}
+
+TEST(SortedColumn, MillionRowsStayWithinRunLengthFootprint) {
+  // 1M rows sorted over 1000 values: each value one run of 1000 rows. A
+  // run-length encoding takes 24 B per run (value, length, start) plus
+  // the dictionary; the single-fill bitmaps stay within 1.3x of that.
+  const uint64_t rows = 1000000, values = 1000;
+  std::vector<Vid> vids(rows);
+  for (uint64_t r = 0; r < rows; ++r) {
+    vids[r] = static_cast<Vid>(r * values / rows);
+  }
+  auto col = Column::FromVids(DataType::kInt64,
+                              IntDictionary(static_cast<uint32_t>(values)),
+                              vids);
+  for (const ValueBitmap& vb : col->bitmaps()) {
+    ASSERT_EQ(vb.rep(), BitmapRep::kWah) << vb.ToString();
+  }
+  const uint64_t rle_bytes = values * 24 + col->dict().SizeBytes();
+  EXPECT_LE(col->SizeBytes() * 10, rle_bytes * 13)
+      << col->SizeBytes() << " B vs run-length " << rle_bytes << " B";
 }
 
 TEST(Column, ValidateDetectsCorruption) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "rowstore/btree_index.h"
@@ -106,6 +107,43 @@ inline std::shared_ptr<const Table> RandomFdTable(uint64_t rows,
     int64_t p = (k * 7 + 3) % 11;  // function of k => FD holds
     Status st = builder.AppendRow({Value(k), Value(v), Value(p)});
     EXPECT_TRUE(st.ok());
+  }
+  auto table = builder.Finish();
+  EXPECT_TRUE(table.ok());
+  return table.ValueOrDie();
+}
+
+/// Appends the v2/v3 image footer (wal_lsn, then the masked CRC32C of
+/// every preceding byte) to a hand-assembled image body.
+inline std::vector<uint8_t> WithImageFooter(std::vector<uint8_t> image,
+                                            uint64_t wal_lsn) {
+  for (int i = 0; i < 8; ++i) {
+    image.push_back(static_cast<uint8_t>(wal_lsn >> (8 * i)));
+  }
+  const uint32_t crc = crc32c::Mask(crc32c::Value(image.data(), image.size()));
+  for (int i = 0; i < 4; ++i) {
+    image.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+  }
+  return image;
+}
+
+/// R(K, V, P) with K = r * distinct / rows (non-decreasing, so each key
+/// is one run), V = r % 5 and P = (3K + 1) % 7 (FD K -> P). With
+/// `declare_sorted`, K and P are declared SORTED; otherwise the same rows
+/// make the unsorted-declared twin.
+inline std::shared_ptr<const Table> SortedFdTable(uint64_t rows,
+                                                  uint64_t distinct,
+                                                  bool declare_sorted) {
+  Schema schema({{"K", DataType::kInt64, declare_sorted},
+                 {"V", DataType::kInt64, false},
+                 {"P", DataType::kInt64, declare_sorted}},
+                {});
+  TableBuilder builder("R", schema);
+  for (uint64_t r = 0; r < rows; ++r) {
+    int64_t k = static_cast<int64_t>(r * distinct / rows);
+    Status st = builder.AppendRow({Value(k), Value(static_cast<int64_t>(r % 5)),
+                                   Value((k * 3 + 1) % 7)});
+    EXPECT_TRUE(st.ok()) << st.ToString();
   }
   auto table = builder.Finish();
   EXPECT_TRUE(table.ok());
