@@ -15,7 +15,8 @@
 // The mixed (WAH x WAH) pairs are committed too: they must track the
 // plain WAH path (same kernel underneath), pinning "no regression in the
 // regime WAH already handled well". BM_CodecSplit / BM_CodecConcat gate
-// the PARTITION and UNION data-movement kernels per input container.
+// the PARTITION and UNION data-movement kernels per input container, and
+// BM_CodecFilter DECOMPOSE's one-sided filter by its distinction.
 //
 // Clustered content — what the density stage alone would store as an
 // array, and the size rule stores as WAH fills — has its own series:
@@ -196,6 +197,24 @@ void BM_CodecSplit(benchmark::State& state) {
   state.counters["rep"] = static_cast<double>(vb.rep());
 }
 
+// DECOMPOSE's filter: the distinction of a key with ~1% distinct values
+// keeps one row per ~100, and only the kept side is built.
+void BM_CodecFilter(benchmark::State& state) {
+  ValueBitmap vb = MakeValue(DensityFromArg(state.range(0)), 7);
+  Rng rng(80);
+  std::vector<uint64_t> kept;
+  for (uint64_t p = 0; p < kBits;
+       p += static_cast<uint64_t>(rng.Uniform(1, 199))) {
+    kept.push_back(p);
+  }
+  const WahPositionFilter filter(kept, kBits);
+  for (auto _ : state) {
+    ValueBitmap filtered = CodecFilter(filter, vb);
+    benchmark::DoNotOptimize(filtered);
+  }
+  state.counters["rep"] = static_cast<double>(vb.rep());
+}
+
 // Halves of unequal, unaligned length, so b lands mid-group and mid-word.
 void BM_CodecConcat(benchmark::State& state) {
   const double density = DensityFromArg(state.range(0));
@@ -372,6 +391,7 @@ BENCHMARK(BM_WahPathAndCount)->Apply(RepPairSweep);
 BENCHMARK(BM_CodecOrManySparse)->Apply(KSweep);
 BENCHMARK(BM_WahPathOrManySparse)->Apply(KSweep);
 BENCHMARK(BM_CodecSplit)->Apply(SplitSweep);
+BENCHMARK(BM_CodecFilter)->Apply(ConcatSweep);
 BENCHMARK(BM_CodecConcat)->Apply(ConcatSweep);
 BENCHMARK(BM_RunAndCount)
     ->Arg(10)

@@ -35,7 +35,10 @@ const FilterSetup& Setup(uint64_t distinct) {
   for (Vid v = 0; v < s.column->distinct_count(); ++v) {
     s.wahs.push_back(s.column->bitmap(v).ToWah());
   }
-  s.positions = DistinctionPositions(*r, {kKeyColumn}).ValueOrDie();
+  for (const DistinctRow& row :
+       DistinctionPositions(*r, {kKeyColumn}).ValueOrDie()) {
+    s.positions.push_back(row.position);
+  }
   return cache->emplace(distinct, std::move(s)).first->second;
 }
 

@@ -307,11 +307,11 @@ void OrOperandIntoDense(const ValueBitmap& vb, uint64_t* words,
   }
 }
 
-// Accumulates the union of all operands into the thread-local dense
-// scratch; returns the scratch. Shared by CodecOrManyWah / -Count.
+// Accumulates the union of all operands into `acc`, resized to `size`
+// bits; returns it. Shared by the k-way union kernels.
 std::vector<uint64_t>& AccumulateUnion(
-    const std::vector<const ValueBitmap*>& operands, uint64_t size) {
-  std::vector<uint64_t>& acc = DenseScratch();
+    const std::vector<const ValueBitmap*>& operands, uint64_t size,
+    std::vector<uint64_t>& acc) {
   acc.assign(DenseWordCount(size), 0);
   for (const ValueBitmap* vb : operands) {
     CODS_DCHECK(vb->size() == size);
@@ -1079,8 +1079,15 @@ WahBitmap CodecOrManyWah(const std::vector<const ValueBitmap*>& operands,
     for (const ValueBitmap* vb : operands) wahs.push_back(&vb->wah());
     return WahOrMany(wahs, size);
   }
-  std::vector<uint64_t>& acc = AccumulateUnion(operands, size);
+  std::vector<uint64_t>& acc = AccumulateUnion(operands, size, DenseScratch());
   return DenseToWah(acc.data(), size);
+}
+
+std::vector<uint64_t> CodecOrManyDense(
+    const std::vector<const ValueBitmap*>& operands, uint64_t size) {
+  std::vector<uint64_t> words;
+  AccumulateUnion(operands, size, words);
+  return words;
 }
 
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
@@ -1093,42 +1100,149 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
     for (const ValueBitmap* vb : operands) wahs.push_back(&vb->wah());
     return WahOrManyCount(wahs, size);
   }
-  return CountWords(AccumulateUnion(operands, size));
+  return CountWords(AccumulateUnion(operands, size, DenseScratch()));
 }
 
 // ---- Data movement: filter, split, concat --------------------------------
 
 namespace {
 
-// The split, its second side only when `want_out`: one pass sends each
-// set bit p to the first side at Rank(p) when the filter keeps it, else
-// to the second at p - Rank(p). Positions collect in thread-local
-// scratch, so nothing regrows per call; FromPositions then builds each
-// side in the container its exact count and runs pick.
+// The bits of `x` under the set bits of `mask`, packed to the low end in
+// order (a software PEXT). Walks whichever is fewer: the bits of x under
+// the mask, or the mask's runs.
+uint64_t CompressBits(uint64_t x, uint64_t mask) {
+  x &= mask;
+  if (x == 0) return 0;
+  if (x == mask) return LowBits(static_cast<uint64_t>(std::popcount(mask)));
+  uint64_t out = 0;
+  if (std::popcount(x) <= std::popcount(mask & ~(mask << 1))) {
+    for (; x != 0; x &= x - 1) {
+      const uint64_t below = (x & (0 - x)) - 1;
+      out |= uint64_t{1} << std::popcount(mask & below);
+    }
+    return out;
+  }
+  for (unsigned k = 0; mask != 0;) {
+    const unsigned at = static_cast<unsigned>(std::countr_zero(mask));
+    const unsigned len = static_cast<unsigned>(std::countr_one(mask >> at));
+    out |= ((x >> at) & LowBits(len)) << k;
+    k += len;
+    mask &= ~(LowBits(len) << at);
+  }
+  return out;
+}
+
+// AppendBits for up to 64 bits (a bitset word).
+void AppendWord(WahBitmap& bm, uint64_t bits, uint64_t n) {
+  if (n > kWahGroupBits) {
+    bm.AppendBits(bits, kWahGroupBits);
+    bm.AppendBits(bits >> kWahGroupBits, n - kWahGroupBits);
+  } else {
+    bm.AppendBits(bits, n);
+  }
+}
+
+// The two sides of a split, appended in input order: the kept side
+// (`in`, the bits the filter keeps) and, when `want_out`, the rest.
+struct SplitSides {
+  const WahPositionFilter& filter;
+  bool want_out;
+  WahBitmap in, out;
+
+  // n equal bits at [pos, pos + n): one run on each side, the kept
+  // side's length read off the rank index.
+  void Run(bool value, uint64_t pos, uint64_t n) {
+    const uint64_t kept = filter.Rank(pos + n) - filter.Rank(pos);
+    in.AppendRun(value, kept);
+    if (want_out) out.AppendRun(value, n - kept);
+  }
+
+  // n <= 64 bits, the filter's membership under them `mask`: whole to
+  // one side when the mask is uniform, else compressed through the mask
+  // and its complement.
+  void Bits(uint64_t bits, uint64_t mask, uint64_t n) {
+    const uint64_t all = LowBits(n);
+    if (mask == all) {
+      AppendWord(in, bits, n);
+    } else if (mask == 0) {
+      if (want_out) AppendWord(out, bits, n);
+    } else {
+      const uint64_t kept = static_cast<uint64_t>(std::popcount(mask));
+      AppendWord(in, CompressBits(bits, mask), kept);
+      if (want_out) AppendWord(out, CompressBits(bits, all & ~mask), n - kept);
+    }
+  }
+};
+
+// An array input's split: each position p goes to the first side at
+// Rank(p) when the filter keeps it, else to the second at p - Rank(p),
+// which already costs O(ones). Positions collect in thread-local
+// scratch, so nothing regrows per call.
+std::pair<ValueBitmap, ValueBitmap> SplitPositions(
+    const WahPositionFilter& filter, const std::vector<uint32_t>& positions,
+    bool want_out) {
+  thread_local std::vector<uint32_t> in, out;
+  in.clear();
+  out.clear();
+  for (uint32_t p : positions) {
+    if (filter.Contains(p)) {
+      in.push_back(static_cast<uint32_t>(filter.Rank(p)));
+    } else if (want_out) {
+      out.push_back(static_cast<uint32_t>(p - filter.Rank(p)));
+    }
+  }
+  std::pair<ValueBitmap, ValueBitmap> result;
+  result.first = ValueBitmap::FromPositions(
+      std::vector<uint32_t>(in.begin(), in.end()), filter.num_positions());
+  if (want_out) {
+    result.second = ValueBitmap::FromPositions(
+        std::vector<uint32_t>(out.begin(), out.end()),
+        filter.domain() - filter.num_positions());
+  }
+  return result;
+}
+
+// The split, its second side only when `want_out`. WAH and bitset inputs
+// are walked a code word at a time (a fill is one run per side, a literal
+// group or bitset word is routed through the membership bits under it)
+// and each side is appended straight into WAH, then stored in the
+// container FromWah picks. Array inputs take SplitPositions.
 std::pair<ValueBitmap, ValueBitmap> Split(const WahPositionFilter& filter,
                                           const ValueBitmap& vb,
                                           bool want_out) {
   CODS_DCHECK(vb.size() == filter.domain());
-  thread_local std::vector<uint32_t> in_pos, out_pos;
-  in_pos.clear();
-  out_pos.clear();
-  vb.ForEachSetBit([&](uint64_t p) {
-    if (filter.Contains(p)) {
-      in_pos.push_back(static_cast<uint32_t>(filter.Rank(p)));
-    } else if (want_out) {
-      out_pos.push_back(static_cast<uint32_t>(p - filter.Rank(p)));
-    }
-  });
-  std::pair<ValueBitmap, ValueBitmap> sides;
-  sides.first = ValueBitmap::FromPositions(
-      std::vector<uint32_t>(in_pos.begin(), in_pos.end()),
-      filter.num_positions());
-  if (want_out) {
-    sides.second = ValueBitmap::FromPositions(
-        std::vector<uint32_t>(out_pos.begin(), out_pos.end()),
-        filter.domain() - filter.num_positions());
+  if (vb.rep() == BitmapRep::kArray) {
+    return SplitPositions(filter, vb.array_positions(), want_out);
   }
-  return sides;
+  SplitSides sides{filter, want_out, {}, {}};
+  if (vb.rep() == BitmapRep::kWah) {
+    const WahBitmap& wah = vb.wah();
+    uint64_t base = 0;
+    for (uint64_t w : wah.words()) {
+      if (wah::IsFill(w)) {
+        const uint64_t n = wah::FillGroups(w) * kWahGroupBits;
+        sides.Run(wah::FillValue(w), base, n);
+        base += n;
+      } else {
+        sides.Bits(wah::Literal(w), filter.Window63(base), kWahGroupBits);
+        base += kWahGroupBits;
+      }
+    }
+    if (wah.tail_bits() > 0) {
+      sides.Bits(wah.tail(), filter.Window63(base), wah.tail_bits());
+    }
+  } else {
+    const std::vector<uint64_t>& words = vb.bitset_words();
+    for (size_t w = 0; w < words.size(); ++w) {
+      sides.Bits(words[w], filter.MemberWord(w),
+                 std::min<uint64_t>(64, vb.size() - 64 * w));
+    }
+  }
+  CODS_DCHECK(sides.in.size() == filter.num_positions());
+  std::pair<ValueBitmap, ValueBitmap> result;
+  result.first = ValueBitmap::FromWah(std::move(sides.in));
+  if (want_out) result.second = ValueBitmap::FromWah(std::move(sides.out));
+  return result;
 }
 
 }  // namespace

@@ -292,23 +292,31 @@ uint64_t CodecAndCountWah(const ValueBitmap& a, const WahBitmap& selection);
 WahBitmap CodecOrManyWah(const std::vector<const ValueBitmap*>& operands,
                          uint64_t size);
 
+/// k-way union into `(size + 63) / 64` dense words: PARTITION's
+/// selection, indexed as a WahPositionFilter without a WAH round trip.
+std::vector<uint64_t> CodecOrManyDense(
+    const std::vector<const ValueBitmap*>& operands, uint64_t size);
+
 /// Count-only k-way union (the ValidateInvariants coverage check).
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
                           uint64_t size);
 
 // ---- Data movement (PARTITION, UNION, DECOMPOSE, SELECT, JOIN) -----------
 //
-// These move set bits between containers without a WAH round trip:
-// positions are routed or shifted in one pass over the input's own
-// container and the output is built once, in the container its exact
-// popcount and run count pick (arrays by push, bitsets and mixed WAH from
-// dense words, clustered WAH run by run, homogeneous outputs as one fill).
+// These move set bits in one pass over the input's own container and
+// build each output once, in the container its exact popcount and run
+// count pick. Split and filter walk WAH and bitset inputs a code word at
+// a time: a fill becomes one run per side, a literal group or bitset word
+// goes whole to the side its membership bits pick, or is compressed
+// through them; each side is appended as WAH and stored by FromWah.
+// Array inputs route (split) or shift (concat) their positions.
 
 /// PARTITION's bitmap filtering: splits vb by the filter's selection in
-/// one pass. `first` holds the selected bits re-based onto the selected
-/// rows (length filter.num_positions()): set bit p lands at Rank(p).
-/// `second` holds the rest re-based onto the complement's rows: p lands
-/// at p - Rank(p).
+/// one pass over its code words (WAH, bitset) or positions (array).
+/// `first` holds the selected bits re-based onto the selected rows
+/// (length filter.num_positions()): set bit p lands at Rank(p). `second`
+/// holds the rest re-based onto the complement's rows: p lands at
+/// p - Rank(p).
 std::pair<ValueBitmap, ValueBitmap> CodecSplit(const WahPositionFilter& filter,
                                                const ValueBitmap& vb);
 

@@ -243,6 +243,13 @@ class WahDecoder {
   /// <= remaining_groups(); advances to the next code word as needed.
   void Consume(uint64_t groups);
 
+  /// True when the current run is a zero fill and no set bit follows it:
+  /// the fill is the last code word and the tail group is empty.
+  bool in_final_zero_fill() const {
+    return !exhausted_ && is_fill_ && !fill_value_ &&
+           word_index_ == bm_->words_.size() && bm_->tail_ == 0;
+  }
+
  private:
   void LoadNext();
 

@@ -1,6 +1,7 @@
 #include "bitmap/wah_filter.h"
 
 #include <bit>
+#include <utility>
 
 namespace cods {
 
@@ -87,6 +88,22 @@ WahPositionFilter::WahPositionFilter(const WahBitmap& selection)
   }
   if (selection.tail_bits() > 0) deposit(selection.tail());
   IndexRanks();
+}
+
+WahPositionFilter WahPositionFilter::FromMemberWords(
+    std::vector<uint64_t> words, uint64_t domain) {
+  CODS_CHECK(words.size() == (domain + 63) / 64)
+      << words.size() << " member words for domain " << domain;
+  CODS_DCHECK(domain % 64 == 0 || words.empty() ||
+              (words.back() >> (domain % 64)) == 0);
+  WahPositionFilter filter;
+  filter.domain_ = domain;
+  for (uint64_t w : words) {
+    filter.num_positions_ += static_cast<uint64_t>(std::popcount(w));
+  }
+  filter.member_words_ = std::move(words);
+  filter.IndexRanks();
+  return filter;
 }
 
 void WahPositionFilter::IndexRanks() {

@@ -41,7 +41,9 @@ WahBitmap WahGatherPositions(const WahBitmap& src,
 /// kept position's new index is Rank(p), a dropped one's index in the
 /// complement is p - Rank(p), and one index serves both sides of a
 /// split. The codec kernels CodecFilter / CodecSplit (bitmap/codec.h)
-/// probe it per set bit of any container; Filter() below is the
+/// read it a code word at a time: a fill needs two ranks, a literal or
+/// bitset word the membership bits under it (Window63 / MemberWord). An
+/// array container probes it per set bit. Filter() below is the
 /// WAH-only reference (tests, bench_filter_ablation).
 class WahPositionFilter {
  public:
@@ -50,6 +52,12 @@ class WahPositionFilter {
 
   /// Keeps the set bits of `selection`; the domain is selection.size().
   explicit WahPositionFilter(const WahBitmap& selection);
+
+  /// Keeps the set bits of `(domain + 63) / 64` dense words, which become
+  /// the index's membership bitset; bits at and above `domain` must be
+  /// zero.
+  static WahPositionFilter FromMemberWords(std::vector<uint64_t> words,
+                                           uint64_t domain);
 
   /// Returns B' of length positions.size() with B'[j] = src[positions[j]].
   /// src.size() must equal the domain.
@@ -73,10 +81,28 @@ class WahPositionFilter {
     return r;
   }
 
+  /// Membership of the 63 positions [pos, pos + 63) as a WAH group
+  /// payload: bit i is Contains(pos + i); positions at or past the
+  /// domain read as zero. pos < domain.
+  uint64_t Window63(uint64_t pos) const {
+    CODS_DCHECK(pos < domain_);
+    const size_t q = pos / 64;
+    const unsigned r = pos % 64;
+    uint64_t bits = member_words_[q] >> r;
+    if (r > 1 && q + 1 < member_words_.size()) {
+      bits |= member_words_[q + 1] << (64 - r);
+    }
+    return bits & wah::kPayloadMask;
+  }
+
+  /// Membership of the 64 positions [64 w, 64 w + 64): one dense word.
+  uint64_t MemberWord(size_t w) const { return member_words_[w]; }
+
   uint64_t domain() const { return domain_; }
   uint64_t num_positions() const { return num_positions_; }
 
  private:
+  WahPositionFilter() = default;
   void IndexRanks();
 
   uint64_t domain_ = 0;

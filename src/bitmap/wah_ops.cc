@@ -39,7 +39,10 @@ void ConsumeAcross(WahDecoder& dec, uint64_t groups) {
 // Shared driver for the binary operations. `emit` is called with either
 // (fill_value, group_count) runs or literal payloads; this keeps the
 // fill-skipping logic in one place. We instantiate it twice: once
-// building an output bitmap, once only counting.
+// building an output bitmap, once only counting. An annihilating zero
+// fill that is its operand's last code word, with an empty tail after it,
+// leaves nothing but zeros to emit: the walk ends there instead of
+// crossing the other operand's remaining code words.
 template <typename FillSink, typename LiteralSink>
 void RunBinaryOp(const WahBitmap& a, const WahBitmap& b, OpKind op,
                  FillSink&& emit_fill, LiteralSink&& emit_literal) {
@@ -83,6 +86,13 @@ void RunBinaryOp(const WahBitmap& a, const WahBitmap& b, OpKind op,
         take_from_a = false;
       }
       if (skip > 0) {
+        if (!out_value && (take_from_a ? da : db).in_final_zero_fill()) {
+          emit_fill(false, bits_left / kWahGroupBits);
+          if (bits_left % kWahGroupBits != 0) {
+            emit_literal(0, bits_left % kWahGroupBits);
+          }
+          return;
+        }
         emit_fill(out_value, skip);
         if (take_from_a) {
           da.Consume(skip);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "bitmap/codec.h"
 #include "bitmap/wah_filter.h"
 #include "evolution/fd.h"
 #include "exec/exec.h"
@@ -10,14 +11,14 @@
 
 namespace cods {
 
-Result<std::vector<uint64_t>> DistinctionPositions(
+Result<std::vector<DistinctRow>> DistinctionPositions(
     const Table& table, const std::vector<std::string>& key_columns,
     const ExecContext* ctx) {
   ExecContext exec = ResolveContext(ctx);
   if (key_columns.empty()) {
     return Status::InvalidArgument("distinction needs at least one column");
   }
-  std::vector<uint64_t> positions;
+  std::vector<DistinctRow> rows;
   if (key_columns.size() == 1) {
     CODS_ASSIGN_OR_RETURN(auto col, table.ColumnByName(key_columns[0]));
     // Single-attribute key: the bitmap index *is* the distinct-value
@@ -33,9 +34,9 @@ Result<std::vector<uint64_t>> DistinctionPositions(
           return Status::OK();
         });
     CODS_CHECK(st.ok()) << st.ToString();
-    positions.reserve(col->distinct_count());
-    for (uint64_t f : first) {
-      if (f < table.rows()) positions.push_back(f);
+    rows.reserve(col->distinct_count());
+    for (Vid vid = 0; vid < first.size(); ++vid) {
+      if (first[vid] < table.rows()) rows.push_back({first[vid], vid});
     }
   } else {
     // Composite key: sequential scan with a hash on vid tuples.
@@ -63,14 +64,42 @@ Result<std::vector<uint64_t>> DistinctionPositions(
     for (uint64_t r = 0; r < table.rows(); ++r) {
       first_row.try_emplace(r, r);
     }
-    positions.reserve(first_row.size());
-    // cods-lint: allow(unordered-iteration): the collected positions are
-    // sorted two lines down, so hash order never reaches the output.
-    for (const auto& [_, row] : first_row) positions.push_back(row);
+    rows.reserve(first_row.size());
+    // cods-lint: allow(unordered-iteration): the collected rows are sorted
+    // by position below, so hash order never reaches the output.
+    for (const auto& [_, row] : first_row) rows.push_back({row, kNoVid});
   }
-  std::sort(positions.begin(), positions.end());
-  return positions;
+  std::sort(rows.begin(), rows.end(),
+            [](const DistinctRow& a, const DistinctRow& b) {
+              return a.position < b.position;
+            });
+  return rows;
 }
+
+namespace {
+
+// The generated table's single-column key, built from the distinction
+// instead of filtered: representative j of value v is the only row of v
+// that survives, and it lands at j. O(distinct) bitmaps of one bit each,
+// where filtering would probe every row of the key column. A value with
+// no row (a PARTITION output keeps its whole dictionary) stays empty.
+std::shared_ptr<const Column> KeyColumnFromDistinction(
+    const ExecContext& exec, const Column& key,
+    const std::vector<DistinctRow>& rows) {
+  const uint64_t n = rows.size();
+  std::vector<ValueBitmap> bitmaps(key.distinct_count(),
+                                   ValueBitmap::FromPositions({}, n));
+  Status st = ParallelFor(exec, 0, n, 1, [&](uint64_t j) {
+    bitmaps[rows[j].vid] =
+        ValueBitmap::FromPositions({static_cast<uint32_t>(j)}, n);
+    return Status::OK();
+  });
+  CODS_CHECK(st.ok()) << st.ToString();
+  return Column::FromValueBitmaps(key.type(), key.dict(), std::move(bitmaps),
+                                  n);
+}
+
+}  // namespace
 
 Result<DecomposeResult> CodsDecompose(
     const Table& r, const std::string& s_name,
@@ -185,7 +214,7 @@ Result<DecomposeResult> CodsDecompose(
   }
 
   // ---- Step 1: distinction. ----------------------------------------------
-  std::vector<uint64_t> positions;
+  std::vector<DistinctRow> distinct;
   {
     ScopedStep step(observer, op, "distinction",
                     "one representative row per distinct (" +
@@ -198,36 +227,44 @@ Result<DecomposeResult> CodsDecompose(
                           return out;
                         }() +
                         ")");
-    CODS_ASSIGN_OR_RETURN(positions,
+    CODS_ASSIGN_OR_RETURN(distinct,
                           DistinctionPositions(r, common, options.exec));
   }
-  result.distinct_keys = positions.size();
+  result.distinct_keys = distinct.size();
 
   // ---- Step 2: bitmap filtering. -----------------------------------------
   {
     ScopedStep step(observer, op, "filtering",
                     "shrinking bitmaps of " +
                         std::to_string(g_columns.size()) + " columns to " +
-                        std::to_string(positions.size()) + " positions");
+                        std::to_string(distinct.size()) + " positions");
     // One rank index over the position list, shared by every bitmap of
-    // every generated column: aggregate filtering cost is O(rows +
+    // every generated column: aggregate filtering cost is O(rows / 64 +
     // total code words), independent of the number of distinct values.
+    std::vector<uint64_t> positions;
+    positions.reserve(distinct.size());
+    for (const DistinctRow& row : distinct) positions.push_back(row.position);
     WahPositionFilter filter(positions, r.rows());
+    ExecContext exec = ResolveContext(options.exec);
     std::vector<ColumnSpec> specs;
     std::vector<std::shared_ptr<const Column>> cols;
     for (const std::string& name : g_columns) {
       CODS_ASSIGN_OR_RETURN(size_t idx, r.schema().ColumnIndex(name));
       specs.push_back(r.schema().column(idx));
+      if (common.size() == 1 && name == common[0]) {
+        cols.push_back(
+            KeyColumnFromDistinction(exec, *r.column(idx), distinct));
+        continue;
+      }
       // Per-value filtering is independent: one shared read-only rank
       // index, one output slot per vid (inside FilterColumnBitmaps).
-      ExecContext exec = ResolveContext(options.exec);
       cols.push_back(FilterColumnBitmaps(exec, *r.column(idx), filter));
     }
     CODS_ASSIGN_OR_RETURN(Schema g_schema,
                           Schema::Make(std::move(specs), g_key));
     CODS_ASSIGN_OR_RETURN(auto g_table,
                           Table::Make(g_name, std::move(g_schema),
-                                      std::move(cols), positions.size()));
+                                      std::move(cols), distinct.size()));
     (s_unchanged ? result.t : result.s) = std::move(g_table);
   }
   return result;

@@ -65,10 +65,19 @@ Result<DecomposeResult> CodsDecompose(
     EvolutionObserver* observer = nullptr,
     const DecomposeOptions& options = {});
 
+/// One representative row of a distinct key: its position, and for a
+/// single-column key the key's vid at that row (kNoVid for a composite
+/// key).
+struct DistinctRow {
+  uint64_t position;
+  Vid vid;
+  friend bool operator==(const DistinctRow&, const DistinctRow&) = default;
+};
+
 /// The "distinction" step alone (exposed for tests and benches): returns
-/// the sorted positions of one representative row of `table` per
-/// distinct value combination of `key_columns`.
-Result<std::vector<uint64_t>> DistinctionPositions(
+/// one representative row of `table` per distinct value combination of
+/// `key_columns`, sorted by position.
+Result<std::vector<DistinctRow>> DistinctionPositions(
     const Table& table, const std::vector<std::string>& key_columns,
     const ExecContext* ctx = nullptr);
 

@@ -184,7 +184,9 @@ Result<std::shared_ptr<const Table>> CodsMergeKeyFk(
   }
 
   // Generate T's non-key columns for the output by appending, in S's row
-  // order, each row's bit to the builder of its value.
+  // order, each row's bit to the builder of its value. S's columns keep
+  // their row order and SORTED declarations; T's are regathered in S's
+  // order, so theirs are dropped.
   std::vector<ColumnSpec> specs = s.schema().columns();
   std::vector<std::shared_ptr<const Column>> out_cols;
   {
@@ -218,7 +220,7 @@ Result<std::shared_ptr<const Table>> CodsMergeKeyFk(
       CODS_CHECK(st.ok()) << st.ToString();
       std::vector<WahBitmap> bitmaps = BuildValueBitmaps(
           exec, out_vid_of_row.data(), s.rows(), src.distinct_count());
-      specs.push_back(t.schema().column(t_payload[p]));
+      specs.push_back(Unsorted(t.schema().column(t_payload[p])));
       out_cols.push_back(Column::FromBitmaps(
           src.type(), src.dict(), std::move(bitmaps), s.rows(), &exec));
     }
@@ -379,6 +381,7 @@ Result<std::shared_ptr<const Table>> CodsMergeGeneral(
   }
   const uint64_t out_rows = off[num_tuples];
 
+  // Rows cluster by join value, so no column keeps a SORTED declaration.
   std::vector<ColumnSpec> specs;
   std::vector<std::shared_ptr<const Column>> out_cols;
   {
@@ -411,7 +414,7 @@ Result<std::shared_ptr<const Table>> CodsMergeGeneral(
     // laid out consecutively, each S row's value repeated n2 times).
     for (size_t i = 0; i < s.num_columns(); ++i) {
       const Column& src = *s.column(i);
-      specs.push_back(s.schema().column(i));
+      specs.push_back(Unsorted(s.schema().column(i)));
       auto join_pos = std::find(sj.begin(), sj.end(), i);
       if (join_pos != sj.end()) {
         // Join column: one fill run per tuple — cheap enough serially.
@@ -440,7 +443,7 @@ Result<std::shared_ptr<const Table>> CodsMergeGeneral(
     for (size_t i = 0; i < t.num_columns(); ++i) {
       if (std::find(tj.begin(), tj.end(), i) != tj.end()) continue;
       const Column& src = *t.column(i);
-      specs.push_back(t.schema().column(i));
+      specs.push_back(Unsorted(t.schema().column(i)));
       std::vector<Vid> tvids = src.DecodeVids(&exec);
       build_mapped(src, [&](uint64_t k) {
         for (uint64_t i1 = 0; i1 < n1[k]; ++i1) {

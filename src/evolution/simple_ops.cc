@@ -55,12 +55,13 @@ Result<std::shared_ptr<const Table>> UnionTablesOp(
         }
         // Per value: a's bitmap then b's, concatenated in the output's
         // final container; a value absent from one side contributes a
-        // zero fill of that side's rows.
+        // zero fill of that side's rows. Grain 1 spreads a column of few
+        // values over every thread.
         const ValueBitmap a_zeros = ValueBitmap::FromPositions({}, a.rows());
         const ValueBitmap b_zeros = ValueBitmap::FromPositions({}, b.rows());
         std::vector<ValueBitmap> bitmaps(dict.size());
         CODS_RETURN_NOT_OK(ParallelFor(
-            exec, 0, dict.size(), 16, [&](uint64_t v) {
+            exec, 0, dict.size(), 1, [&](uint64_t v) {
               bitmaps[v] = CodecConcat(
                   v < ca.distinct_count() ? ca.bitmap(static_cast<Vid>(v))
                                           : a_zeros,
@@ -71,9 +72,17 @@ Result<std::shared_ptr<const Table>> UnionTablesOp(
                                            std::move(bitmaps), out_rows);
         return Status::OK();
       }));
-  // Keys rarely survive a union (duplicates may appear); drop them.
-  CODS_ASSIGN_OR_RETURN(Schema schema,
-                        Schema::Make(a.schema().columns(), {}));
+  // Keys rarely survive a union (duplicates may appear); drop them. A
+  // column stays declared SORTED only if both inputs declare it and a's
+  // last value is <= b's first, so the concatenation stays in order.
+  std::vector<ColumnSpec> specs = a.schema().columns();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    specs[i].sorted = specs[i].sorted && b.schema().column(i).sorted &&
+                      (a.rows() == 0 || b.rows() == 0 ||
+                       !(b.column(i)->GetValue(0) <
+                         a.column(i)->GetValue(a.rows() - 1)));
+  }
+  CODS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(specs), {}));
   return Table::Make(name, std::move(schema), std::move(cols), out_rows);
 }
 
@@ -84,9 +93,9 @@ Result<PartitionResult> PartitionTableOp(
   ExecContext exec = ResolveContext(ctx);
   const std::string opname = "PARTITION " + src.name();
   CODS_ASSIGN_OR_RETURN(auto pred_col, src.ColumnByName(column));
-  // Selection bitmap: single-pass k-way union of the bitmaps of
-  // qualifying dictionary values, evaluated on compressed words.
-  WahBitmap selection;
+  // Selection: the union of the bitmaps of qualifying dictionary values,
+  // accumulated in dense words that the rank index below takes over.
+  std::vector<uint64_t> selection;
   {
     ScopedStep step(observer, opname, "select",
                     column + " " + std::string(CompareOpToString(op)) + " " +
@@ -97,11 +106,12 @@ Result<PartitionResult> PartitionTableOp(
         qualifying.push_back(&pred_col->bitmap(v));
       }
     }
-    selection = CodecOrManyWah(qualifying, src.rows());
+    selection = CodecOrManyDense(qualifying, src.rows());
   }
   // One rank index over the selection serves both outputs: a selected
   // row's index is its rank, any other row's is its position minus it.
-  WahPositionFilter filter(selection);
+  const WahPositionFilter filter =
+      WahPositionFilter::FromMemberWords(std::move(selection), src.rows());
   const uint64_t rows1 = filter.num_positions();
   const uint64_t rows2 = src.rows() - rows1;
   std::vector<std::shared_ptr<const Column>> cols1(src.num_columns());

@@ -83,8 +83,10 @@ std::shared_ptr<const Column> FilterColumnBitmaps(
     const WahPositionFilter& filter, std::shared_ptr<const Column>* rest) {
   std::vector<ValueBitmap> filtered(column.distinct_count());
   std::vector<ValueBitmap> dropped(rest != nullptr ? filtered.size() : 0);
+  // Grain 1: ParallelFor still chunks by ~4 per thread, and a column of a
+  // few values (each a large bitmap) spreads over every thread.
   Status st =
-      ParallelFor(ctx, 0, column.distinct_count(), 16, [&](uint64_t v) {
+      ParallelFor(ctx, 0, column.distinct_count(), 1, [&](uint64_t v) {
         const ValueBitmap& vb = column.bitmap(static_cast<Vid>(v));
         if (rest != nullptr) {
           std::tie(filtered[v], dropped[v]) = CodecSplit(filter, vb);

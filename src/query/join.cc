@@ -55,19 +55,20 @@ std::shared_ptr<const Column> FinishColumn(DataType type,
 
 // Every output column is qualified `<table>.<column>`, the reference
 // shape Schema::ResolveColumnRef matches by suffix; the right join
-// column is elided (its values equal the left one's).
+// column is elided (its values equal the left one's). A join reorders
+// rows, so no output column stays declared SORTED.
 Result<Schema> QualifiedOutSchema(const Table& left, const Table& right,
                                   size_t right_join) {
   std::vector<ColumnSpec> specs;
   specs.reserve(left.num_columns() + right.num_columns() - 1);
   for (size_t i = 0; i < left.num_columns(); ++i) {
-    ColumnSpec spec = left.schema().column(i);
+    ColumnSpec spec = Unsorted(left.schema().column(i));
     spec.name = left.name() + "." + spec.name;
     specs.push_back(std::move(spec));
   }
   for (size_t i = 0; i < right.num_columns(); ++i) {
     if (i == right_join) continue;
-    ColumnSpec spec = right.schema().column(i);
+    ColumnSpec spec = Unsorted(right.schema().column(i));
     spec.name = right.name() + "." + spec.name;
     specs.push_back(std::move(spec));
   }

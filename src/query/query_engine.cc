@@ -801,9 +801,18 @@ Result<std::shared_ptr<const Table>> QueryEngine::SortRows(
     cols[c] = Column::FromBitmaps(src.type(), src.dict(), std::move(bitmaps),
                                   keep, &exec);
   }
-  // Reordering / truncating rows preserves key uniqueness, so the
-  // schema (key included) carries over.
-  return Table::Make(out_name, table.schema(), std::move(cols), keep);
+  // Reordering / truncating rows preserves key uniqueness, so the key
+  // carries over. A reorder keeps a SORTED declaration only on an
+  // ascending sort column.
+  std::vector<ColumnSpec> specs = table.schema().columns();
+  for (size_t c = 0; c < specs.size(); ++c) {
+    if (!order_by.empty() && (c != sort_idx || desc)) {
+      specs[c] = Unsorted(std::move(specs[c]));
+    }
+  }
+  CODS_ASSIGN_OR_RETURN(Schema schema,
+                        Schema::Make(std::move(specs), table.schema().key()));
+  return Table::Make(out_name, std::move(schema), std::move(cols), keep);
 }
 
 }  // namespace cods

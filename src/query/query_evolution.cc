@@ -171,7 +171,7 @@ Result<ColumnMergeResult> ColumnQueryLevelMerge(
   std::vector<ColumnSpec> specs = s.schema().columns();
   for (size_t i = 0; i < t.schema().num_columns(); ++i) {
     if (std::find(t_join.begin(), t_join.end(), i) == t_join.end()) {
-      specs.push_back(t.schema().column(i));
+      specs.push_back(Unsorted(t.schema().column(i)));
     }
   }
   CODS_ASSIGN_OR_RETURN(Schema out_schema,

@@ -20,9 +20,19 @@ struct ColumnSpec {
   DataType type = DataType::kString;
   // Declared sorted (§2.2). Parsed, printed and persisted, but it
   // selects no encoding: the codec stores a sorted column's values as
-  // WAH fills by their run count alone.
+  // WAH fills by their run count alone. An operator's output keeps it
+  // only where the operator provably keeps the column in order: a row
+  // subsequence (PARTITION, DECOMPOSE, SELECT) does, a reorder (JOIN,
+  // ORDER BY another column, MERGE's generated columns) does not.
   bool sorted = false;
 };
+
+/// `spec` without its SORTED declaration, for an output column whose
+/// rows an operator may reorder.
+inline ColumnSpec Unsorted(ColumnSpec spec) {
+  spec.sorted = false;
+  return spec;
+}
 
 /// An ordered list of column specs plus an optional key.
 class Schema {

@@ -376,6 +376,72 @@ TEST(CodecMoveKernels, SplitAndFilterMatchPositionOracle) {
   EXPECT_EQ(reps_seen.size(), 3u);
 }
 
+// The per-set-bit split the code-word kernel replaced, kept as its
+// oracle: each set bit p goes to the kept side at Rank(p), or to the rest
+// at p - Rank(p), and each side is built from its positions.
+std::pair<ValueBitmap, ValueBitmap> PerBitSplit(const WahPositionFilter& filter,
+                                                const ValueBitmap& vb) {
+  std::vector<uint32_t> in, out;
+  vb.ForEachSetBit([&](uint64_t p) {
+    if (filter.Contains(p)) {
+      in.push_back(static_cast<uint32_t>(filter.Rank(p)));
+    } else {
+      out.push_back(static_cast<uint32_t>(p - filter.Rank(p)));
+    }
+  });
+  const uint64_t kept = filter.num_positions();
+  return {ValueBitmap::FromPositions(std::move(in), kept),
+          ValueBitmap::FromPositions(std::move(out), filter.domain() - kept)};
+}
+
+TEST(CodecMoveKernels, WordSplitMatchesPerBitOracle) {
+  std::set<BitmapRep> reps_seen;
+  // Sizes off and on the 63-bit group and 64-bit word grids.
+  for (uint64_t size : {1, 62, 63, 64, 65, 127, 1000, 4031, 4032, 4097,
+                        20000}) {
+    // Random values at the array, mixed-WAH and bitset densities, the
+    // empty and full values, and a one-run over [size/4, 3 size/4), which
+    // straddles the prefix and suffix selection boundaries (a one-fill
+    // once size/2 spans whole groups).
+    std::vector<ValueBitmap> values = {
+        MakeRandom(size, std::max<uint64_t>(size / 100, 1), size + 1),
+        MakeRandom(size, size / 8, size + 2),
+        MakeRandom(size, size / 2, size + 3),
+        ValueBitmap::FromPositions({}, size),
+        ValueBitmap::FromPositions(RangePositions(0, size), size),
+        ValueBitmap::FromPositions(RangePositions(size / 4, 3 * size / 4),
+                                   size),
+    };
+    // Selections: empty, full, prefix, suffix, sparse (~1%), dense (~90%).
+    Rng rng(size);
+    std::vector<std::vector<uint64_t>> selections(6);
+    for (uint64_t p = 0; p < size; ++p) {
+      selections[1].push_back(p);
+      if (p < size / 3) selections[2].push_back(p);
+      if (p >= size - size / 3) selections[3].push_back(p);
+      if (rng.NextBool(0.01)) selections[4].push_back(p);
+      if (rng.NextBool(0.9)) selections[5].push_back(p);
+    }
+    for (size_t si = 0; si < selections.size(); ++si) {
+      WahPositionFilter filter(selections[si], size);
+      for (const ValueBitmap& vb : values) {
+        reps_seen.insert(vb.rep());
+        const std::string what = "size " + std::to_string(size) +
+                                 " selection " + std::to_string(si) + " " +
+                                 vb.ToString();
+        auto [in, out] = CodecSplit(filter, vb);
+        auto [want_in, want_out] = PerBitSplit(filter, vb);
+        EXPECT_EQ(in.rep(), want_in.rep()) << what;
+        EXPECT_EQ(in, want_in) << what;
+        EXPECT_EQ(out.rep(), want_out.rep()) << what;
+        EXPECT_EQ(out, want_out) << what;
+        EXPECT_EQ(CodecFilter(filter, vb), want_in) << what;
+      }
+    }
+  }
+  EXPECT_EQ(reps_seen.size(), 3u);
+}
+
 TEST(CodecMoveKernels, ConcatMatchesPositionOracle) {
   for (uint64_t size_a : kMoveSizes) {
     for (uint64_t size_b : kMoveSizes) {

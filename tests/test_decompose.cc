@@ -4,6 +4,9 @@
 
 #include "evolution/decompose.h"
 
+#include "bitmap/wah_filter.h"
+#include "evolution/simple_ops.h"
+#include "exec/parallel_build.h"
 #include "gtest/gtest.h"
 #include "query/query_evolution.h"
 #include "test_util.h"
@@ -16,24 +19,36 @@ using ::cods::testing::Figure1TableR;
 using ::cods::testing::RandomFdTable;
 using ::cods::testing::SortedRows;
 
+std::vector<uint64_t> PositionsOf(const std::vector<DistinctRow>& rows) {
+  std::vector<uint64_t> out;
+  for (const DistinctRow& row : rows) out.push_back(row.position);
+  return out;
+}
+
 TEST(Distinction, SingleColumnUsesFirstSetBits) {
   auto r = Figure1TableR();
   // Employees first appear at rows 0 (Jones), 2 (Roberts), 3 (Ellis),
   // 6 (Harrison).
-  auto positions = DistinctionPositions(*r, {"Employee"}).ValueOrDie();
-  EXPECT_EQ(positions, (std::vector<uint64_t>{0, 2, 3, 6}));
+  auto rows = DistinctionPositions(*r, {"Employee"}).ValueOrDie();
+  EXPECT_EQ(PositionsOf(rows), (std::vector<uint64_t>{0, 2, 3, 6}));
+  // Each representative carries the key's vid at its row.
+  auto employee = r->ColumnByName("Employee").ValueOrDie();
+  for (const DistinctRow& row : rows) {
+    ASSERT_NE(row.vid, kNoVid);
+    EXPECT_TRUE(employee->bitmap(row.vid).Get(row.position));
+  }
 }
 
 TEST(Distinction, CompositeColumns) {
   auto r = Figure1TableR();
   // (Employee, Skill) is unique per row: all 7 positions.
-  auto positions =
-      DistinctionPositions(*r, {"Employee", "Skill"}).ValueOrDie();
-  EXPECT_EQ(positions.size(), 7u);
-  // (Employee, Address): same as Employee alone here.
-  positions =
-      DistinctionPositions(*r, {"Employee", "Address"}).ValueOrDie();
-  EXPECT_EQ(positions, (std::vector<uint64_t>{0, 2, 3, 6}));
+  auto rows = DistinctionPositions(*r, {"Employee", "Skill"}).ValueOrDie();
+  EXPECT_EQ(rows.size(), 7u);
+  // (Employee, Address): same as Employee alone here. A composite key has
+  // no single vid.
+  rows = DistinctionPositions(*r, {"Employee", "Address"}).ValueOrDie();
+  EXPECT_EQ(PositionsOf(rows), (std::vector<uint64_t>{0, 2, 3, 6}));
+  for (const DistinctRow& row : rows) EXPECT_EQ(row.vid, kNoVid);
 }
 
 TEST(Distinction, ErrorsOnMissingColumn) {
@@ -199,6 +214,63 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.distinct);
     });
 
+// ---- The generated key column ----------------------------------------------
+//
+// With a single-column common key, the generated table's key column is
+// built from the distinction instead of filtered. It must equal the
+// filtered column, container for container.
+
+void ExpectFilteredColumns(const Table& r, const Table& generated,
+                           const std::vector<std::string>& key,
+                           const std::vector<std::string>& columns) {
+  WahPositionFilter filter(
+      PositionsOf(DistinctionPositions(r, key).ValueOrDie()), r.rows());
+  for (const std::string& name : columns) {
+    auto want = FilterColumnBitmaps(ExecContext(1),
+                                    *r.ColumnByName(name).ValueOrDie(), filter);
+    auto got = generated.ColumnByName(name).ValueOrDie();
+    EXPECT_EQ(got->rows(), want->rows()) << name;
+    EXPECT_EQ(got->dict().size(), want->dict().size()) << name;
+    EXPECT_EQ(got->bitmaps(), want->bitmaps()) << name;
+  }
+  EXPECT_TRUE(generated.ValidateInvariants().ok());
+}
+
+TEST(DecomposeKeyColumn, EqualsTheFilteredColumn) {
+  for (uint64_t keys : {1, 7, 300, 2000}) {
+    auto r = RandomFdTable(5000, keys, keys);
+    auto result = CodsDecompose(*r, "S", {"K", "V"}, {}, "T", {"K", "P"},
+                                {"K"})
+                      .ValueOrDie();
+    ExpectFilteredColumns(*r, *result.t, {"K"}, {"K", "P"});
+  }
+}
+
+TEST(DecomposeKeyColumn, AfterPartitionKeepsEmptyValues) {
+  // Both sides of a PARTITION keep the whole dictionary, so each side's K
+  // has values whose bitmaps are empty; they stay empty in the output.
+  auto r = RandomFdTable(5000, 300, 9);
+  auto parts = PartitionTableOp(*r, "A", "B", "K", CompareOp::kLt,
+                                Value(int64_t{100}))
+                   .ValueOrDie();
+  for (const auto& side : {parts.matching, parts.rest}) {
+    auto result = CodsDecompose(*side, "S", {"K", "V"}, {}, "T", {"K", "P"},
+                                {"K"})
+                      .ValueOrDie();
+    EXPECT_LT(result.t->rows(), result.t->column(0)->distinct_count());
+    ExpectFilteredColumns(*side, *result.t, {"K"}, {"K", "P"});
+  }
+}
+
+TEST(DecomposeKeyColumn, CompositeKeyFiltersEveryColumn) {
+  auto r = RandomFdTable(3000, 200, 4);
+  auto result = CodsDecompose(*r, "S", {"K", "P", "V"}, {}, "T", {"K", "P"},
+                              {"K", "P"})
+                    .ValueOrDie();
+  EXPECT_EQ(result.t->rows(), 200u);
+  ExpectFilteredColumns(*r, *result.t, {"K", "P"}, {"K", "P"});
+}
+
 // ---- Sorted-declared tables ------------------------------------------------
 //
 // A SORTED declaration no longer selects an encoding: the operators see
@@ -210,7 +282,7 @@ TEST(SortedDecompose, DistinctionOnSortedKeyIsFirstOfRun) {
   auto positions = DistinctionPositions(*r, {"K"}).ValueOrDie();
   ASSERT_EQ(positions.size(), 50u);
   // K = row * 50 / 1000: value k's run starts at row 20k.
-  for (uint64_t k = 0; k < 50; ++k) EXPECT_EQ(positions[k], 20 * k);
+  for (uint64_t k = 0; k < 50; ++k) EXPECT_EQ(positions[k].position, 20 * k);
   auto twin = ::cods::testing::SortedFdTable(1000, 50, false);
   EXPECT_EQ(positions, DistinctionPositions(*twin, {"K"}).ValueOrDie());
 }

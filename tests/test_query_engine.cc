@@ -6,7 +6,10 @@
 #include "query/query_engine.h"
 
 #include "concurrency/snapshot_catalog.h"
+#include "evolution/decompose.h"
 #include "evolution/engine.h"
+#include "evolution/merge.h"
+#include "evolution/simple_ops.h"
 #include "gtest/gtest.h"
 #include "plan/staged_catalog.h"
 #include "query/join.h"
@@ -808,6 +811,105 @@ TEST(QueryEngine, SortedDeclaredTableAnswersLikeUnsortedTwin) {
       EXPECT_EQ(got->table->Materialize(), want->table->Materialize()) << sql;
       EXPECT_TRUE(got->table->ValidateInvariants().ok()) << sql;
     }
+  }
+}
+
+// ---- SORTED declarations on operator outputs -------------------------------
+
+// Fails unless every column `table` declares SORTED is non-decreasing on
+// the Value order; returns how many columns are declared SORTED.
+size_t ExpectDeclaredSortedHolds(const Table& table, const std::string& what) {
+  const std::vector<Row> rows = table.Materialize();
+  size_t declared = 0;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (!table.schema().column(c).sorted) continue;
+    ++declared;
+    for (size_t r = 1; r < rows.size(); ++r) {
+      if (rows[r][c] < rows[r - 1][c]) {
+        ADD_FAILURE() << what << ": SORTED column "
+                      << table.schema().column(c).name << " drops at row "
+                      << r;
+        break;
+      }
+    }
+  }
+  return declared;
+}
+
+TEST(SortedDeclaration, HoldsOnEveryOutput) {
+  // R(L SORTED, V, S SORTED) with L -> S; D(L SORTED, name) keyed by L.
+  const Schema fact({{"L", DataType::kInt64, true},
+                     {"V", DataType::kInt64, false},
+                     {"S", DataType::kString, true}});
+  const Schema dim({{"L", DataType::kInt64, true},
+                    {"name", DataType::kString, false}},
+                   {"L"});
+  std::vector<Row> fact_rows, dim_rows;
+  for (int64_t r = 0; r < 3000; ++r) {
+    fact_rows.push_back(
+        {Value(r / 30), Value(r % 7), Value("s" + std::to_string(r / 600))});
+  }
+  for (int64_t l = 0; l < 100; ++l) {
+    dim_rows.push_back({Value(l), Value("n" + std::to_string(l % 9))});
+  }
+  auto r = MakeTable("R", fact, fact_rows);
+  auto d = MakeTable("D", dim, dim_rows);
+  ASSERT_EQ(ExpectDeclaredSortedHolds(*r, "R"), 2u);
+
+  // Row subsequences keep every declaration.
+  auto parts =
+      PartitionTableOp(*r, "A", "B", "V", CompareOp::kLt, Value(int64_t{3}))
+          .ValueOrDie();
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*parts.matching, "PARTITION"), 2u);
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*parts.rest, "PARTITION rest"), 2u);
+  auto dec = CodsDecompose(*r, "RS", {"L", "V"}, {}, "RT", {"L", "S"}, {"L"})
+                 .ValueOrDie();
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*dec.s, "DECOMPOSE reused"), 1u);
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*dec.t, "DECOMPOSE generated"), 2u);
+
+  // MERGE keeps S's declarations on the key-foreign-key path and drops
+  // T's; the general path clusters rows by join value and drops all.
+  auto kfk = CodsMergeKeyFk(*dec.s, *dec.t, {"L"}, {}, "M").ValueOrDie();
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*kfk, "MERGE key-fk"), 1u);
+  EXPECT_TRUE(kfk->schema().column(0).sorted);
+  auto general =
+      CodsMergeGeneral(*parts.rest, *d, {"L"}, {}, "G").ValueOrDie();
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*general, "MERGE general"), 0u);
+
+  // UNION keeps a declaration only when a's last value <= b's first.
+  auto low = PartitionTableOp(*r, "Lo", "Hi", "L", CompareOp::kLt,
+                              Value(int64_t{50}))
+                 .ValueOrDie();
+  auto in_order = UnionTablesOp(*low.matching, *low.rest, "U").ValueOrDie();
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*in_order, "UNION in order"), 2u);
+  auto reversed = UnionTablesOp(*low.rest, *low.matching, "U").ValueOrDie();
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*reversed, "UNION reversed"), 0u);
+  auto with_empty =
+      UnionTablesOp(*low.matching, *MakeEmptyTable("E", fact).ValueOrDie(),
+                    "U")
+          .ValueOrDie();
+  EXPECT_EQ(ExpectDeclaredSortedHolds(*with_empty, "UNION empty"), 2u);
+
+  // Queries: a projection keeps its declarations, ORDER BY keeps only an
+  // ascending sort column's, JOIN keeps none.
+  Catalog catalog = ::cods::testing::CatalogOf({r, d});
+  QueryEngine engine(&catalog);
+  const std::pair<const char*, size_t> queries[] = {
+      {"SELECT L, S FROM R WHERE V = 3;", 2},
+      {"SELECT * FROM R ORDER BY L;", 1},
+      {"SELECT * FROM R ORDER BY L DESC;", 0},
+      {"SELECT * FROM R ORDER BY S;", 1},
+      {"SELECT * FROM R ORDER BY V;", 0},
+      {"SELECT L, V FROM R WHERE V = 3 ORDER BY V LIMIT 25;", 0},
+      {"SELECT * FROM R JOIN D ON R.L = D.L WHERE D.name = 'n8';", 0},
+      {"SELECT * FROM D JOIN R ON D.L = R.L;", 0},
+  };
+  for (const auto& [sql, declared] : queries) {
+    auto result = engine.Execute(ParseStatement(sql).ValueOrDie().query);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    ASSERT_NE(result->table, nullptr) << sql;
+    EXPECT_EQ(ExpectDeclaredSortedHolds(*result->table, sql), declared)
+        << sql;
   }
 }
 

@@ -109,13 +109,43 @@ TEST(WahPositionFilter, SelectionBuiltMatchesPositionsBuilt) {
       }
       WahPositionFilter by_positions(positions, size);
       WahPositionFilter by_selection(WahBitmap::FromPositions(positions, size));
-      ASSERT_EQ(by_selection.domain(), size);
-      ASSERT_EQ(by_selection.num_positions(), positions.size());
-      for (uint64_t p = 0; p <= size; ++p) {
-        ASSERT_EQ(by_selection.Rank(p), by_positions.Rank(p)) << p;
-        if (p < size) {
-          ASSERT_EQ(by_selection.Contains(p), by_positions.Contains(p)) << p;
+      std::vector<uint64_t> words((size + 63) / 64, 0);
+      for (uint64_t p : positions) words[p / 64] |= uint64_t{1} << (p % 64);
+      WahPositionFilter by_words =
+          WahPositionFilter::FromMemberWords(std::move(words), size);
+      for (const WahPositionFilter* f : {&by_selection, &by_words}) {
+        ASSERT_EQ(f->domain(), size);
+        ASSERT_EQ(f->num_positions(), positions.size());
+        for (uint64_t p = 0; p <= size; ++p) {
+          ASSERT_EQ(f->Rank(p), by_positions.Rank(p)) << p;
+          if (p < size) {
+            ASSERT_EQ(f->Contains(p), by_positions.Contains(p)) << p;
+          }
         }
+      }
+    }
+  }
+}
+
+TEST(WahPositionFilter, WindowsReadMembership) {
+  for (uint64_t size : {1, 63, 64, 65, 127, 128, 1000}) {
+    Rng rng(size);
+    std::vector<uint64_t> positions;
+    for (uint64_t i = 0; i < size; ++i) {
+      if (rng.NextBool(0.4)) positions.push_back(i);
+    }
+    WahPositionFilter filter(positions, size);
+    for (uint64_t pos = 0; pos < size; ++pos) {
+      const uint64_t window = filter.Window63(pos);
+      for (uint64_t i = 0; i < 63; ++i) {
+        const bool want = pos + i < size && filter.Contains(pos + i);
+        ASSERT_EQ((window >> i) & 1, want ? 1u : 0u) << pos << "+" << i;
+      }
+    }
+    for (size_t w = 0; w < (size + 63) / 64; ++w) {
+      for (uint64_t i = 0; i < 64; ++i) {
+        const bool want = w * 64 + i < size && filter.Contains(w * 64 + i);
+        ASSERT_EQ((filter.MemberWord(w) >> i) & 1, want ? 1u : 0u);
       }
     }
   }

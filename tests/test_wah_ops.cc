@@ -89,6 +89,39 @@ TEST(WahOps, AndCountMatchesMaterializedAnd) {
   EXPECT_EQ(WahAndCount(a, b), WahAnd(a, b).CountOnes());
 }
 
+TEST(WahOps, AndStopsOnlyAtAFinalZeroFill) {
+  // One run of ones at several offsets, sizes with and without a tail
+  // group, against a mixed operand: AND and its count end early once the
+  // run's operand is down to its last zero fill, which must not lose the
+  // ones of a set tail or of a run that ends the bitmap.
+  for (uint64_t size : {63 * 200, 63 * 200 + 1, 63 * 200 + 40}) {
+    WahBitmap mixed = RandomWah(size, 0.3, size);
+    const std::vector<bool> mixed_bits = mixed.ToBools();
+    for (uint64_t start : {uint64_t{0}, uint64_t{5}, uint64_t{63 * 50},
+                           size - 200, size - 1}) {
+      for (uint64_t len : {uint64_t{1}, uint64_t{100}, size - start}) {
+        if (start + len > size) continue;
+        WahBitmap run;
+        run.AppendRun(false, start);
+        run.AppendRun(true, len);
+        run.AppendRun(false, size - run.size());
+        std::vector<bool> both = mixed_bits;
+        for (uint64_t p = 0; p < size; ++p) {
+          both[p] = both[p] && p >= start && p < start + len;
+        }
+        const WahBitmap want = WahBitmap::FromBools(both);
+        EXPECT_EQ(WahAnd(run, mixed), want) << start << "+" << len;
+        EXPECT_EQ(WahAnd(mixed, run), want) << start << "+" << len;
+        EXPECT_EQ(WahAndNot(mixed, WahNot(run)), want) << start << "+" << len;
+        EXPECT_EQ(WahAndCount(run, mixed), want.CountOnes())
+            << start << "+" << len;
+        EXPECT_EQ(WahAndCount(mixed, run), want.CountOnes())
+            << start << "+" << len;
+      }
+    }
+  }
+}
+
 TEST(WahOps, IntersectsAgreesWithAndCount) {
   WahBitmap a = WahBitmap::FromPositions({4000}, 5000);
   WahBitmap b = WahBitmap::FromPositions({4000}, 5000);
